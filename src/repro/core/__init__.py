@@ -22,12 +22,17 @@ fast-forward mode):
 * :mod:`~repro.core.policies` provides the periodic and lazy sampling
   policies of the paper plus an adaptive extension,
 * :class:`~repro.core.controller.TaskPointController` plugs all of the above
-  into the simulator's mode-controller interface.
+  into the simulator's mode-controller interface, on top of
+  :class:`~repro.core.controller.SamplingController` — the warm-up,
+  thread-change and resample bookkeeping it shares with the stratified and
+  fidelity engines.
 
-Typical use::
+:func:`~repro.core.api.make_controller` picks the engine from the config
+type.  Typical use::
 
-    from repro.core import sampled_simulation
+    from repro.core import StratifiedConfig, sampled_simulation
     result = sampled_simulation(trace, num_threads=64)
+    result = sampled_simulation(trace, config=StratifiedConfig(budget=0.02))
 """
 
 from repro.core.config import TaskPointConfig
@@ -40,7 +45,13 @@ from repro.core.policies import (
     SamplingPolicy,
     make_policy,
 )
-from repro.core.controller import ResampleReason, SamplingPhase, TaskPointController, TaskPointStatistics
+from repro.core.controller import (
+    ResampleReason,
+    SamplingController,
+    SamplingPhase,
+    TaskPointController,
+    TaskPointStatistics,
+)
 from repro.core.fidelity import (
     FidelityConfig,
     FidelityController,
@@ -51,12 +62,7 @@ from repro.core.stratified import (
     StratifiedController,
     StratifiedStatistics,
 )
-from repro.core.api import (
-    compare_with_detailed,
-    fidelity_simulation,
-    sampled_simulation,
-    stratified_simulation,
-)
+from repro.core.api import compare_with_detailed, make_controller, sampled_simulation
 
 __all__ = [
     "TaskPointConfig",
@@ -69,6 +75,7 @@ __all__ = [
     "LazySamplingPolicy",
     "AdaptiveSamplingPolicy",
     "make_policy",
+    "SamplingController",
     "TaskPointController",
     "TaskPointStatistics",
     "SamplingPhase",
@@ -79,8 +86,7 @@ __all__ = [
     "FidelityConfig",
     "FidelityController",
     "FidelityStatistics",
+    "make_controller",
     "sampled_simulation",
-    "stratified_simulation",
-    "fidelity_simulation",
     "compare_with_detailed",
 ]

@@ -1,6 +1,6 @@
-"""Convenience API for running TaskPoint-sampled simulations.
+"""Convenience API for running sampled simulations.
 
-These helpers wire the TaskPoint controller into the TaskSim-style simulator
+These helpers wire a sampling controller into the TaskSim-style simulator
 and provide the comparison against full detailed simulation that the paper's
 evaluation (and this repository's benchmark harness) is built on.
 """
@@ -8,11 +8,15 @@ evaluation (and this repository's benchmark harness) is built on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Union
 
 from repro.arch.config import ArchitectureConfig
 from repro.core.config import TaskPointConfig
-from repro.core.controller import TaskPointController, TaskPointStatistics
+from repro.core.controller import (
+    SamplingController,
+    TaskPointController,
+    TaskPointStatistics,
+)
 from repro.core.fidelity import FidelityConfig, FidelityController
 from repro.core.policies import SamplingPolicy
 from repro.core.stratified import StratifiedConfig, StratifiedController
@@ -20,86 +24,62 @@ from repro.sim.results import SimulationResult
 from repro.sim.simulator import TaskSimSimulator
 from repro.trace.trace import ApplicationTrace
 
+#: A config of any of the sampling engines.
+SamplingConfig = Union[TaskPointConfig, StratifiedConfig, FidelityConfig]
+
+
+def make_controller(
+    trace: ApplicationTrace,
+    config: Optional[SamplingConfig] = None,
+    policy: Optional[SamplingPolicy] = None,
+) -> SamplingController:
+    """The mode controller of the sampling engine that ``config`` selects.
+
+    A :class:`StratifiedConfig` selects two-phase stratified sampling, a
+    :class:`FidelityConfig` the error-budget fidelity controller, and a
+    :class:`TaskPointConfig` (or ``None``, the paper's defaults) TaskPoint.
+    ``policy`` overrides the TaskPoint sampling policy and is rejected for
+    the other engines.
+    """
+    if isinstance(config, StratifiedConfig):
+        engine = StratifiedController
+    elif isinstance(config, FidelityConfig):
+        engine = FidelityController
+    else:
+        return TaskPointController(config=config, policy=policy)
+    if policy is not None:
+        raise ValueError("a sampling policy applies to TaskPoint configs only")
+    return engine(trace, config=config)
+
 
 def sampled_simulation(
     trace: ApplicationTrace,
     num_threads: int = 8,
     architecture: Optional[ArchitectureConfig] = None,
-    config: Optional[TaskPointConfig] = None,
+    config: Optional[SamplingConfig] = None,
     policy: Optional[SamplingPolicy] = None,
     scheduler: str = "fifo",
     scheduler_seed: int = 0,
 ) -> SimulationResult:
-    """Simulate ``trace`` with TaskPoint sampling and return the result.
+    """Simulate ``trace`` with the sampling engine ``config`` selects.
 
-    The TaskPoint statistics of the run (number of warm-up instances, valid
+    The run's sampling statistics (number of warm-up instances, valid
     samples, fast-forwarded instances, resamples, ...) are attached to the
-    result's metadata under ``"taskpoint"``.
-    """
-    controller = TaskPointController(config=config, policy=policy)
-    simulator = TaskSimSimulator(
-        architecture=architecture, scheduler=scheduler, scheduler_seed=scheduler_seed
-    )
-    result = simulator.run(trace, num_threads=num_threads, controller=controller)
-    result.metadata["taskpoint"] = controller.stats
-    return result
-
-
-def stratified_simulation(
-    trace: ApplicationTrace,
-    num_threads: int = 8,
-    architecture: Optional[ArchitectureConfig] = None,
-    config: Optional[StratifiedConfig] = None,
-    scheduler: str = "fifo",
-    scheduler_seed: int = 0,
-) -> SimulationResult:
-    """Simulate ``trace`` with two-phase stratified sampling.
-
-    Like :func:`sampled_simulation`, the run's sampling statistics are
-    attached to the result metadata under ``"taskpoint"`` (the stratified
-    statistics are a superset of TaskPoint's).  Additionally, the 95%
-    confidence interval of the execution-time estimate — the headline output
-    of the stratified engine — is attached under ``"confidence"`` (``None``
+    result's metadata under ``"taskpoint"``.  Engines that estimate their
+    own error (stratified, fidelity) also attach the 95% confidence
+    interval of the execution-time estimate under ``"confidence"`` (``None``
     when nothing was fast-forwarded, i.e. the estimate is exact).
     """
-    controller = StratifiedController(trace, config=config)
+    controller = make_controller(trace, config, policy)
     simulator = TaskSimSimulator(
         architecture=architecture, scheduler=scheduler, scheduler_seed=scheduler_seed
     )
     result = simulator.run(trace, num_threads=num_threads, controller=controller)
-    result.metadata["taskpoint"] = controller.stats
-    result.metadata["confidence"] = controller.stats.confidence_summary(
-        result.total_cycles
-    )
-    return result
-
-
-def fidelity_simulation(
-    trace: ApplicationTrace,
-    num_threads: int = 8,
-    architecture: Optional[ArchitectureConfig] = None,
-    config: Optional[FidelityConfig] = None,
-    scheduler: str = "fifo",
-    scheduler_seed: int = 0,
-) -> SimulationResult:
-    """Simulate ``trace`` under the online error-budget fidelity controller.
-
-    Each task type is switched between detailed simulation and fast-forward
-    on the fly so that the run's estimated relative error stays within
-    ``config.error_budget``.  As with :func:`stratified_simulation`, the
-    sampling statistics land in the result metadata under ``"taskpoint"``
-    and the 95% confidence interval of the execution-time estimate under
-    ``"confidence"`` (``None`` when nothing was fast-forwarded).
-    """
-    controller = FidelityController(trace, config=config)
-    simulator = TaskSimSimulator(
-        architecture=architecture, scheduler=scheduler, scheduler_seed=scheduler_seed
-    )
-    result = simulator.run(trace, num_threads=num_threads, controller=controller)
-    result.metadata["taskpoint"] = controller.stats
-    result.metadata["confidence"] = controller.stats.confidence_summary(
-        result.total_cycles
-    )
+    stats = controller.stats
+    result.metadata["taskpoint"] = stats
+    confidence = getattr(stats, "confidence_summary", None)
+    if confidence is not None:
+        result.metadata["confidence"] = confidence(result.total_cycles)
     return result
 
 
@@ -139,12 +119,12 @@ def compare_with_detailed(
     trace: ApplicationTrace,
     num_threads: int = 8,
     architecture: Optional[ArchitectureConfig] = None,
-    config: Optional[TaskPointConfig] = None,
+    config: Optional[SamplingConfig] = None,
     policy: Optional[SamplingPolicy] = None,
     scheduler: str = "fifo",
     scheduler_seed: int = 0,
 ) -> SampledVersusDetailed:
-    """Run full detailed and TaskPoint-sampled simulations of ``trace``.
+    """Run full detailed and sampled simulations of ``trace``.
 
     This is the core experiment of the paper: the detailed run provides the
     reference execution time and the reference simulation cost; the sampled
@@ -154,7 +134,7 @@ def compare_with_detailed(
         architecture=architecture, scheduler=scheduler, scheduler_seed=scheduler_seed
     )
     detailed = simulator.run(trace, num_threads=num_threads, controller=None)
-    controller = TaskPointController(config=config, policy=policy)
+    controller = make_controller(trace, config, policy)
     sampled = simulator.run(trace, num_threads=num_threads, controller=controller)
     sampled.metadata["taskpoint"] = controller.stats
     return SampledVersusDetailed(

@@ -13,6 +13,25 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 
+def validate_trigger_fields(config) -> None:
+    """Check the warm-up and thread-change trigger fields of a sampling config.
+
+    Every sampling engine's config (TaskPoint, stratified, fidelity) carries
+    ``warmup_instances``, ``resample_warmup_instances``,
+    ``resample_on_thread_change``, ``thread_change_tolerance`` and
+    ``thread_change_persistence`` with identical semantics; they are consumed
+    by :class:`repro.core.controller.SamplingController`.
+    """
+    if config.warmup_instances < 0:
+        raise ValueError("warmup_instances must be non-negative")
+    if config.resample_warmup_instances < 0:
+        raise ValueError("resample_warmup_instances must be non-negative")
+    if config.thread_change_tolerance < 0:
+        raise ValueError("thread_change_tolerance must be non-negative")
+    if config.thread_change_persistence < 1:
+        raise ValueError("thread_change_persistence must be >= 1")
+
+
 @dataclass(frozen=True)
 class TaskPointConfig:
     """Configuration of the TaskPoint sampling methodology.
@@ -66,20 +85,13 @@ class TaskPointConfig:
     thread_change_persistence: int = 5
 
     def __post_init__(self) -> None:
-        if self.warmup_instances < 0:
-            raise ValueError("warmup_instances must be non-negative")
         if self.history_size < 1:
             raise ValueError("history_size must be >= 1")
         if self.sampling_period is not None and self.sampling_period < 1:
             raise ValueError("sampling_period must be >= 1 or None for lazy sampling")
         if self.rare_type_cutoff < 1:
             raise ValueError("rare_type_cutoff must be >= 1")
-        if self.resample_warmup_instances < 0:
-            raise ValueError("resample_warmup_instances must be non-negative")
-        if self.thread_change_tolerance < 0:
-            raise ValueError("thread_change_tolerance must be non-negative")
-        if self.thread_change_persistence < 1:
-            raise ValueError("thread_change_persistence must be >= 1")
+        validate_trigger_fields(self)
 
     # ------------------------------------------------------------------
     @property

@@ -22,14 +22,21 @@ interface and realises the sampling mechanism of paper §III-B:
    instance whose task type has no samples at all.  Resampling discards the
    valid histories, re-warms each thread with one detailed instance and then
    samples again.
+
+The per-worker warm-up accounting, the thread-count trigger and resample
+recording are one mechanism shared by every sampling engine:
+:class:`SamplingController` holds it, and :class:`TaskPointController`, the
+stratified engine (:mod:`repro.core.stratified`) and the fidelity controller
+(:mod:`repro.core.fidelity`) subclass it.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Set
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.core.config import TaskPointConfig
 from repro.core.fastforward import FastForwardEstimator
@@ -105,7 +112,169 @@ class TaskPointStatistics:
         return self.detailed_instances / total if total else 0.0
 
 
-class TaskPointController:
+def combine_confidence(
+    total_cycles: float,
+    errors: Iterable[Tuple[float, Optional[float]]],
+    **counts: int,
+) -> Optional[Dict[str, object]]:
+    """95% CI of an estimated execution time, as a JSON-friendly dict.
+
+    ``errors`` yields one ``(ff_cycles, scaled_error)`` pair per stratum or
+    task type that fast-forwarded: its fast-forwarded cycles and their
+    relative error at 95% confidence, or ``None`` when it has no error
+    estimate of its own.  Those fall back to the widest scaled error seen
+    (or 100% if none exists at all — conservative); all terms combine as
+    independent errors.  ``counts`` are appended to the dict.  Returns
+    ``None`` when nothing was fast-forwarded (the estimate is exact — a
+    detailed run).
+    """
+    if total_cycles <= 0:
+        return None
+    contributions: List[float] = []
+    pending = 0.0  # ff cycles without their own error estimate
+    widest = 0.0
+    for ff_cycles, scaled in errors:
+        if scaled is None:
+            pending += ff_cycles
+            continue
+        widest = max(widest, scaled)
+        contributions.append(ff_cycles * scaled)
+    if pending > 0:
+        contributions.append(pending * (widest if widest > 0 else 1.0))
+    if not contributions:
+        return None
+    # Plain floats throughout: the dict must survive json.dumps (store
+    # records, worker frames) and NumPy scalars leak in via ff_cycles.
+    half_width = float(math.sqrt(sum(value * value for value in contributions)))
+    total_cycles = float(total_cycles)
+    return {
+        "level": 0.95,
+        "half_width_cycles": half_width,
+        "half_width_percent": 100.0 * half_width / total_cycles,
+        "lower_cycles": total_cycles - half_width,
+        "upper_cycles": total_cycles + half_width,
+        **counts,
+    }
+
+
+class SamplingController:
+    """Sampling mechanism shared by every engine (paper §III-B).
+
+    Owns per-worker warm-up accounting, the Figure 4a thread-count trigger
+    with tolerance and persistence, resample recording and the zero-IPC
+    completion rule.  Subclasses implement the
+    :class:`repro.sim.modes.ModeController` interface on top of it: each
+    supplies its own ``choose_mode`` order, estimator and resample policy.
+
+    ``config`` carries the trigger fields every sampling config shares
+    (validated by :func:`repro.core.config.validate_trigger_fields`);
+    ``stats`` is a :class:`TaskPointStatistics` (or subclass).
+    """
+
+    def __init__(self, config, stats: TaskPointStatistics) -> None:
+        self.config = config
+        self.stats = stats
+        # Per-worker warm-up budget.  Tracked explicitly per worker rather
+        # than via a defaultdict factory: a worker's *first* participation
+        # always warms with the full W (``warmup_instances``), even when it
+        # joins after a resample; only workers that already warmed re-warm
+        # with the short ``resample_warmup_instances`` budget.
+        self._warmup_remaining: Dict[int, int] = {}
+        self._warmed_workers: Set[int] = set()
+        # Number of threads participating in execution when the current
+        # samples were taken; None while the thread-change trigger is
+        # unarmed.
+        self._sampled_thread_count: Optional[int] = None
+        # Consecutive decisions that observed a thread count outside the
+        # tolerance band (Figure 4a trigger with persistence).
+        self._thread_change_streak: int = 0
+
+    # ------------------------------------------------------------------
+    # Warm-up accounting
+    # ------------------------------------------------------------------
+    def _remaining_warmup(self, worker_id: int) -> int:
+        """This worker's current warm-up budget, lazily initialised.
+
+        A worker absent from ``_warmup_remaining`` is starting (or
+        re-starting after a resample cleared the table): its budget is the
+        short resample warm-up if it has warmed before, the full initial W
+        otherwise.
+        """
+        remaining = self._warmup_remaining.get(worker_id)
+        if remaining is None:
+            remaining = (
+                self.config.resample_warmup_instances
+                if worker_id in self._warmed_workers
+                else self.config.warmup_instances
+            )
+            self._warmup_remaining[worker_id] = remaining
+        return remaining
+
+    def _complete_warmup(self, worker_id: int) -> None:
+        """Count a completed warm-up instance against the worker's budget."""
+        self.stats.warmup_instances += 1
+        remaining = self._remaining_warmup(worker_id)
+        if remaining > 0:
+            self._warmup_remaining[worker_id] = remaining - 1
+
+    def _detailed_decision(self, worker_id: int) -> ModeDecision:
+        """A detailed decision, flagged as warm-up while budget remains."""
+        if self._remaining_warmup(worker_id) > 0:
+            return DETAILED_WARMUP_DECISION
+        return DETAILED_DECISION
+
+    @staticmethod
+    def _measured_ipc(info: CompletionInfo) -> float:
+        """IPC of a detailed completion, floored at :data:`ZERO_IPC_FLOOR`.
+
+        The completion still runs the warm-up and sample bookkeeping.
+        """
+        return info.ipc if info.ipc > 0 else ZERO_IPC_FLOOR
+
+    # ------------------------------------------------------------------
+    # Thread-count trigger and resampling
+    # ------------------------------------------------------------------
+    def _arm_thread_trigger(self, active_workers: int) -> None:
+        """Record the thread count the current samples are taken under."""
+        self._sampled_thread_count = active_workers
+        self._thread_change_streak = 0
+
+    def _thread_count_changed(self, active_workers: int) -> bool:
+        """Check the Figure 4a trigger with tolerance and persistence.
+
+        A resample is only triggered once the active-thread count has stayed
+        outside the tolerance band for ``thread_change_persistence``
+        consecutive checks, so momentary dips at dependency boundaries do
+        not discard otherwise valid samples.
+        """
+        if not self.config.resample_on_thread_change:
+            return False
+        if not self._sampled_thread_count:
+            return False
+        change = (
+            abs(active_workers - self._sampled_thread_count)
+            / self._sampled_thread_count
+        )
+        if change > self.config.thread_change_tolerance:
+            self._thread_change_streak += 1
+        else:
+            self._thread_change_streak = 0
+        return self._thread_change_streak >= self.config.thread_change_persistence
+
+    def _record_resample(self, reason: ResampleReason) -> None:
+        """Count a global resample and re-warm the workers.
+
+        Already-warmed workers re-warm with the short resample budget; a
+        worker first participating after this still gets the full initial W
+        (see :meth:`_remaining_warmup`).
+        """
+        self.stats.resamples += 1
+        self.stats.resample_reasons[reason] += 1
+        self._thread_change_streak = 0
+        self._warmup_remaining.clear()
+
+
+class TaskPointController(SamplingController):
     """Drives a TaskSim-style simulator according to the TaskPoint methodology.
 
     Parameters
@@ -123,34 +292,19 @@ class TaskPointController:
         config: Optional[TaskPointConfig] = None,
         policy: Optional[SamplingPolicy] = None,
     ) -> None:
-        self.config = config if config is not None else TaskPointConfig()
-        self.policy = policy if policy is not None else make_policy(self.config.sampling_period)
-        self.histories = HistoryTable(self.config.history_size)
+        config = config if config is not None else TaskPointConfig()
+        super().__init__(config, TaskPointStatistics())
+        self.policy = policy if policy is not None else make_policy(config.sampling_period)
+        self.histories = HistoryTable(config.history_size)
         self.estimator = FastForwardEstimator(self.histories)
-        self.stats = TaskPointStatistics()
 
         self.phase = SamplingPhase.SAMPLING
-        # Per-worker warm-up budget.  Tracked explicitly per worker rather
-        # than via a defaultdict factory: a worker's *first* participation
-        # always warms with the full W (``warmup_instances``), even when it
-        # joins after a resample; only workers that already warmed re-warm
-        # with the short ``resample_warmup_instances`` budget.  (The former
-        # factory swap in ``_trigger_resample`` gave late-joining workers
-        # the short budget for their initial warm-up.)
-        self._warmup_remaining: Dict[int, int] = {}
-        self._warmed_workers: Set[int] = set()
         # Per-worker count of consecutive completed instances whose type was
         # already fully sampled (used for the rare-type sampling cut-off).
         self._since_rare: Dict[int, int] = defaultdict(int)
         # Per-worker count of instances fast-forwarded since the last
         # sampling interval (used by the periodic policy).
         self._fast_forwarded: Dict[int, int] = defaultdict(int)
-        # Number of threads participating in execution when the current
-        # samples were taken; None until the first transition to fast mode.
-        self._sampled_thread_count: Optional[int] = None
-        # Consecutive fast-forward decisions that observed a thread count
-        # outside the tolerance band (Figure 4a trigger with persistence).
-        self._thread_change_streak: int = 0
 
     # ------------------------------------------------------------------
     # Phase transitions
@@ -177,43 +331,19 @@ class TaskPointController:
     def _enter_fast_forward(self, active_workers: int) -> None:
         self.phase = SamplingPhase.FAST_FORWARD
         self.stats.transitions_to_fast += 1
-        self._sampled_thread_count = active_workers
-        self._thread_change_streak = 0
+        # Re-armed on every entry to fast-forward; a resample leaves the
+        # previous count in place (it is overwritten on the next entry).
+        self._arm_thread_trigger(active_workers)
         self._fast_forwarded.clear()
         self.policy.reset()
 
     def _trigger_resample(self, reason: ResampleReason) -> None:
         """Discard valid samples and return to the sampling phase."""
         self.phase = SamplingPhase.SAMPLING
-        self.stats.resamples += 1
-        self.stats.resample_reasons[reason] += 1
+        self._record_resample(reason)
         self.histories.clear_valid()
         self._since_rare.clear()
         self._fast_forwarded.clear()
-        self._thread_change_streak = 0
-        # Re-warm already-warmed threads with the (short) resample warm-up
-        # budget; a worker first participating after this still gets the
-        # full initial W (see ``_remaining_warmup``).
-        self._warmup_remaining.clear()
-
-    def _thread_count_changed(self, active_workers: int) -> bool:
-        """Check the Figure 4a trigger with tolerance and persistence.
-
-        A resample is only triggered once the active-thread count has stayed
-        outside the tolerance band for ``thread_change_persistence``
-        consecutive fast-forward decisions, so momentary dips at dependency
-        boundaries do not discard otherwise valid samples.
-        """
-        if not self.config.resample_on_thread_change:
-            return False
-        if self._sampled_thread_count is None or self._sampled_thread_count == 0:
-            return False
-        change = abs(active_workers - self._sampled_thread_count) / self._sampled_thread_count
-        if change > self.config.thread_change_tolerance:
-            self._thread_change_streak += 1
-        else:
-            self._thread_change_streak = 0
-        return self._thread_change_streak >= self.config.thread_change_persistence
 
     # ------------------------------------------------------------------
     # ModeController interface
@@ -260,49 +390,17 @@ class TaskPointController:
         self.stats.fast_forwarded += 1
         return burst_decision(estimate.ipc)
 
-    def _remaining_warmup(self, worker_id: int) -> int:
-        """This worker's current warm-up budget, lazily initialised.
-
-        A worker absent from ``_warmup_remaining`` is starting (or
-        re-starting after a resample cleared the table): its budget is the
-        short resample warm-up if it has warmed before, the full initial W
-        otherwise.
-        """
-        remaining = self._warmup_remaining.get(worker_id)
-        if remaining is None:
-            remaining = (
-                self.config.resample_warmup_instances
-                if worker_id in self._warmed_workers
-                else self.config.warmup_instances
-            )
-            self._warmup_remaining[worker_id] = remaining
-        return remaining
-
-    def _detailed_decision(self, worker_id: int) -> ModeDecision:
-        if self._remaining_warmup(worker_id) > 0:
-            return DETAILED_WARMUP_DECISION
-        return DETAILED_DECISION
-
     def notify_completion(self, info: CompletionInfo) -> None:
         """Record the measured IPC of a detailed instance in the histories."""
         if info.mode is not SimulationMode.DETAILED:
             return
         self._warmed_workers.add(info.worker_id)
-        # A detailed completion that measured no forward progress (a
-        # zero-instruction task type) still records a floor sample: it must
-        # populate the history and run the warm-up / rare-type bookkeeping
-        # below, otherwise the type stays unestimable and every fast-forward
-        # attempt fires an EMPTY_HISTORY resample (a resample storm that
-        # degrades the run to fully detailed).
-        ipc = info.ipc if info.ipc > 0 else ZERO_IPC_FLOOR
+        ipc = self._measured_ipc(info)
         state = self.histories.state(info.instance.task_type.name)
         if info.is_warmup:
             # Warm-up instances only feed the history of all samples.
             state.record_detailed(ipc, valid=False)
-            self.stats.warmup_instances += 1
-            remaining = self._remaining_warmup(info.worker_id)
-            if remaining > 0:
-                self._warmup_remaining[info.worker_id] = remaining - 1
+            self._complete_warmup(info.worker_id)
         elif self.phase is SamplingPhase.SAMPLING:
             state.record_detailed(ipc, valid=True)
             self.stats.valid_samples += 1

@@ -47,6 +47,10 @@ Committed types are audited by **detailed probes**: every ``probe_period``-th
 fast-forward of the type runs detailed instead, feeds the model and re-checks
 the criterion.  Consecutive clean probes stretch the probe spacing
 (doubling up to ``max_probe_period``); a drift re-open resets it.
+
+Per-worker warm-up accounting, the thread-count trigger and resample
+recording come from the shared base
+:class:`repro.core.controller.SamplingController`.
 """
 
 from __future__ import annotations
@@ -58,11 +62,16 @@ from typing import Deque, Dict, List, Optional
 
 import numpy as np
 
-from repro.core.controller import ResampleReason, TaskPointStatistics
+from repro.core.config import validate_trigger_fields
+from repro.core.controller import (
+    ResampleReason,
+    SamplingController,
+    TaskPointStatistics,
+    combine_confidence,
+)
 from repro.core.history import t_critical_95, unbiased_std
 from repro.runtime.task import TaskInstance
 from repro.sim.modes import (
-    DETAILED_DECISION,
     DETAILED_WARMUP_DECISION,
     CompletionInfo,
     ModeDecision,
@@ -163,14 +172,7 @@ class FidelityConfig:
             raise ValueError("share_floor must be a fraction in (0, 1]")
         if self.allowance_cap < 1.0:
             raise ValueError("allowance_cap must be >= 1.0")
-        if self.warmup_instances < 0:
-            raise ValueError("warmup_instances must be non-negative")
-        if self.resample_warmup_instances < 0:
-            raise ValueError("resample_warmup_instances must be non-negative")
-        if self.thread_change_tolerance < 0:
-            raise ValueError("thread_change_tolerance must be non-negative")
-        if self.thread_change_persistence < 1:
-            raise ValueError("thread_change_persistence must be >= 1")
+        validate_trigger_fields(self)
 
     def with_error_budget(self, error_budget: float) -> "FidelityConfig":
         """Return a copy targeting a different error budget."""
@@ -258,6 +260,13 @@ class FidelityTypeState:
         self.last_half_width = half_width
         return abs(mean), half_width
 
+    def scaled_error(self) -> Optional[float]:
+        """Relative error bound ``|mean| + half_width`` of the window."""
+        crit = self.criterion()
+        if crit is None:
+            return None
+        return crit[0] + crit[1]
+
 
 @dataclass
 class FidelityStatistics(TaskPointStatistics):
@@ -282,38 +291,16 @@ class FidelityStatistics(TaskPointStatistics):
         window fall back to the widest scaled error seen (conservative).
         Returns ``None`` when nothing was fast-forwarded.
         """
-        if total_cycles <= 0:
-            return None
-        contributions: List[float] = []
-        pending = 0.0
-        widest = 0.0
-        for state in self.types:
-            if state.ff_cycles <= 0:
-                continue
-            crit = state.criterion()
-            if crit is None:
-                pending += state.ff_cycles
-                continue
-            scaled = crit[0] + crit[1]
-            widest = max(widest, scaled)
-            contributions.append(state.ff_cycles * scaled)
-        if pending > 0:
-            contributions.append(pending * (widest if widest > 0 else 1.0))
-        if not contributions:
-            return None
-        # Plain floats throughout: the dict must survive json.dumps (store
-        # records, worker frames) and NumPy scalars leak in via ff_cycles.
-        half_width = float(math.sqrt(sum(value * value for value in contributions)))
-        total_cycles = float(total_cycles)
-        return {
-            "level": 0.95,
-            "half_width_cycles": half_width,
-            "half_width_percent": 100.0 * half_width / total_cycles,
-            "lower_cycles": total_cycles - half_width,
-            "upper_cycles": total_cycles + half_width,
-            "num_types": len(self.types),
-            "committed_types": sum(1 for s in self.types if s.committed),
-        }
+        return combine_confidence(
+            total_cycles,
+            (
+                (state.ff_cycles, state.scaled_error())
+                for state in self.types
+                if state.ff_cycles > 0
+            ),
+            num_types=len(self.types),
+            committed_types=sum(1 for s in self.types if s.committed),
+        )
 
     def fidelity_summary(self) -> Dict[str, object]:
         """Controller outcome, as a JSON-friendly dict (result metadata)."""
@@ -327,7 +314,7 @@ class FidelityStatistics(TaskPointStatistics):
         }
 
 
-class FidelityController:
+class FidelityController(SamplingController):
     """Mode controller meeting a user-declared error budget online.
 
     Implements the :class:`repro.sim.modes.ModeController` interface, so it
@@ -346,7 +333,8 @@ class FidelityController:
     """
 
     def __init__(self, trace, config: Optional[FidelityConfig] = None) -> None:
-        self.config = config if config is not None else FidelityConfig()
+        config = config if config is not None else FidelityConfig()
+        super().__init__(config, FidelityStatistics(error_budget=config.error_budget))
         columns = getattr(trace, "columns", trace)
         signatures = columns.instance_signatures().astype(np.float64)
         if signatures.shape[0]:
@@ -365,17 +353,7 @@ class FidelityController:
         self._num_records = signatures.shape[0]
 
         self._states: Dict[str, FidelityTypeState] = {}
-        self.stats = FidelityStatistics(error_budget=self.config.error_budget)
         self._total_work = 0.0
-
-        # Per-worker warm-up: full W for a worker's first participation,
-        # the short resample budget for already-warmed workers after a
-        # thread-count resample (tracked explicitly — see the warm-up
-        # accounting note in TaskPointController).
-        self._warmup_remaining: Dict[int, int] = {}
-        self._warmed_workers: set = set()
-        self._sampled_thread_count: Optional[int] = None
-        self._thread_change_streak = 0
 
     # ------------------------------------------------------------------
     # Per-type state and budget allocation
@@ -442,36 +420,6 @@ class FidelityController:
             if state.commits == 1:
                 self.stats.transitions_to_fast += 1
 
-    # ------------------------------------------------------------------
-    # Warm-up accounting (explicit initial-vs-resample budgets)
-    # ------------------------------------------------------------------
-    def _remaining_warmup(self, worker_id: int) -> int:
-        remaining = self._warmup_remaining.get(worker_id)
-        if remaining is None:
-            remaining = (
-                self.config.resample_warmup_instances
-                if worker_id in self._warmed_workers
-                else self.config.warmup_instances
-            )
-            self._warmup_remaining[worker_id] = remaining
-        return remaining
-
-    def _thread_count_changed(self, active_workers: int) -> bool:
-        """TaskPoint's Figure 4a trigger with tolerance and persistence."""
-        if not self.config.resample_on_thread_change:
-            return False
-        if not self._sampled_thread_count:
-            return False
-        change = (
-            abs(active_workers - self._sampled_thread_count)
-            / self._sampled_thread_count
-        )
-        if change > self.config.thread_change_tolerance:
-            self._thread_change_streak += 1
-        else:
-            self._thread_change_streak = 0
-        return self._thread_change_streak >= self.config.thread_change_persistence
-
     def _resample_thread_change(self) -> None:
         """Re-open every type after a persistent thread-count change.
 
@@ -480,8 +428,7 @@ class FidelityController:
         (new samples shift the fit) and the residual windows are cleared so
         stale-regime residuals cannot immediately re-commit a type.
         """
-        self.stats.resamples += 1
-        self.stats.resample_reasons[ResampleReason.THREAD_COUNT_CHANGE] += 1
+        self._record_resample(ResampleReason.THREAD_COUNT_CHANGE)
         for state in self._states.values():
             state.committed = False
             state.probe_period = self.config.probe_period
@@ -489,10 +436,6 @@ class FidelityController:
             if state.residuals is not None:
                 state.residuals.clear()
         self._sampled_thread_count = None
-        self._thread_change_streak = 0
-        # Already-warmed workers re-warm with the short resample budget;
-        # workers first participating later still get the full W.
-        self._warmup_remaining.clear()
 
     # ------------------------------------------------------------------
     # ModeController interface
@@ -513,12 +456,12 @@ class FidelityController:
 
         if self._thread_count_changed(active_workers):
             self._resample_thread_change()
-            return self._issue_detailed(worker_id)
+            return self._detailed_decision(worker_id)
 
         if not 0 <= instance_id < self._num_records:
             # Not part of the profiled trace: no signature features exist,
             # so the instance cannot be predicted — simulate it in detail.
-            return self._issue_detailed(worker_id)
+            return self._detailed_decision(worker_id)
 
         if state.committed and state.since_probe < state.probe_period:
             features = self._features[instance_id]
@@ -532,19 +475,14 @@ class FidelityController:
                 self._total_work += predicted
                 self.stats.fast_forwarded += 1
                 if self._sampled_thread_count is None:
-                    self._sampled_thread_count = active_workers
+                    self._arm_thread_trigger(active_workers)
                 return burst_decision(instructions / predicted)
 
         # Sampling (not committed) or a detailed probe of a committed type.
         if state.committed:
             state.since_probe = 0
             state.probes += 1
-        return self._issue_detailed(worker_id)
-
-    def _issue_detailed(self, worker_id: int) -> ModeDecision:
-        if self._remaining_warmup(worker_id) > 0:
-            return DETAILED_WARMUP_DECISION
-        return DETAILED_DECISION
+        return self._detailed_decision(worker_id)
 
     def notify_completion(self, info: CompletionInfo) -> None:
         """Fold a completed detailed instance into its type's model."""
@@ -558,10 +496,7 @@ class FidelityController:
         worker_id = info.worker_id
         self._warmed_workers.add(worker_id)
         if info.is_warmup:
-            self.stats.warmup_instances += 1
-            remaining = self._remaining_warmup(worker_id)
-            if remaining > 0:
-                self._warmup_remaining[worker_id] = remaining - 1
+            self._complete_warmup(worker_id)
             return
 
         instance_id = info.instance.instance_id
@@ -580,5 +515,5 @@ class FidelityController:
         state.observe(features, cycles / instructions)
         self.stats.valid_samples += 1
         if self._sampled_thread_count is None:
-            self._sampled_thread_count = info.active_workers
+            self._arm_thread_trigger(info.active_workers)
         self._update_commitment(state, was_probe)

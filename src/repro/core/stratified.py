@@ -29,8 +29,8 @@ across strata as independent errors with per-stratum Student-t multipliers
 durations are first-order linear in them, which is the usual delta-method
 approximation.
 
-Resampling triggers mirror :class:`repro.core.controller.TaskPointController`
-(and reuse its :class:`~repro.core.controller.ResampleReason` enum): a
+Warm-up accounting, the thread-count trigger and resample recording come
+from the shared base :class:`repro.core.controller.SamplingController`.  A
 persistent active-thread-count change or an unprofiled task type discards the
 per-stratum IPC statistics *and* the Neyman allocation, re-warms, and
 re-runs the pilot — allocations are never reused across a resample, since
@@ -45,11 +45,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.core.controller import ResampleReason, TaskPointStatistics
+from repro.core.config import validate_trigger_fields
+from repro.core.controller import (
+    ResampleReason,
+    SamplingController,
+    TaskPointStatistics,
+    combine_confidence,
+)
 from repro.core.history import t_critical_95
 from repro.runtime.task import TaskInstance
 from repro.sim.modes import (
@@ -111,14 +117,7 @@ class StratifiedConfig:
             raise ValueError("min_stratum_size must be >= 1")
         if self.pilot_samples < 2:
             raise ValueError("pilot_samples must be >= 2 (variance needs 2 samples)")
-        if self.warmup_instances < 0:
-            raise ValueError("warmup_instances must be non-negative")
-        if self.resample_warmup_instances < 0:
-            raise ValueError("resample_warmup_instances must be non-negative")
-        if self.thread_change_tolerance < 0:
-            raise ValueError("thread_change_tolerance must be non-negative")
-        if self.thread_change_persistence < 1:
-            raise ValueError("thread_change_persistence must be >= 1")
+        validate_trigger_fields(self)
 
     def with_budget(self, budget: float) -> "StratifiedConfig":
         """Return a copy with a different detailed budget."""
@@ -195,6 +194,13 @@ class StratumState:
             return None
         return self.std() / (math.sqrt(self.count) * self.cpi_mean)
 
+    def scaled_error(self) -> Optional[float]:
+        """Relative standard error times the Student-t 95% critical value."""
+        rse = self.relative_standard_error()
+        if rse is None:
+            return None
+        return t_critical_95(self.count - 1) * rse
+
     def reset_samples(self) -> None:
         """Discard samples and allocation (resampling trigger)."""
         self.target = self.pilot_target
@@ -231,37 +237,16 @@ class StratifiedStatistics(TaskPointStatistics):
         (conservative).  Returns ``None`` when nothing was fast-forwarded
         (the estimate is exact — a detailed run).
         """
-        if total_cycles <= 0:
-            return None
-        contributions: List[float] = []
-        pending: float = 0.0  # ff cycles of strata without their own error
-        widest = 0.0
-        for stratum in self.strata:
-            if stratum.ff_cycles <= 0:
-                continue
-            rse = stratum.relative_standard_error()
-            if rse is None:
-                pending += stratum.ff_cycles
-                continue
-            scaled = t_critical_95(stratum.count - 1) * rse
-            widest = max(widest, scaled)
-            contributions.append(stratum.ff_cycles * scaled)
-        if pending > 0:
-            # No per-stratum error estimate: assume the widest scaled
-            # relative error seen anywhere (or 100% if none exists at all).
-            contributions.append(pending * (widest if widest > 0 else 1.0))
-        if not contributions:
-            return None
-        half_width = math.sqrt(sum(value * value for value in contributions))
-        return {
-            "level": 0.95,
-            "half_width_cycles": half_width,
-            "half_width_percent": 100.0 * half_width / total_cycles,
-            "lower_cycles": total_cycles - half_width,
-            "upper_cycles": total_cycles + half_width,
-            "num_strata": self.num_strata,
-            "sampled_strata": sum(1 for s in self.strata if s.count >= 2),
-        }
+        return combine_confidence(
+            total_cycles,
+            (
+                (stratum.ff_cycles, stratum.scaled_error())
+                for stratum in self.strata
+                if stratum.ff_cycles > 0
+            ),
+            num_strata=self.num_strata,
+            sampled_strata=sum(1 for s in self.strata if s.count >= 2),
+        )
 
 
 def build_strata(columns, strata_per_type: int, min_stratum_size: int) -> np.ndarray:
@@ -312,7 +297,7 @@ def build_strata(columns, strata_per_type: int, min_stratum_size: int) -> np.nda
     return stratum_of
 
 
-class StratifiedController:
+class StratifiedController(SamplingController):
     """Mode controller implementing two-phase stratified sampling.
 
     Implements the :class:`repro.sim.modes.ModeController` interface, so it
@@ -330,12 +315,12 @@ class StratifiedController:
     """
 
     def __init__(self, trace, config: Optional[StratifiedConfig] = None) -> None:
-        self.config = config if config is not None else StratifiedConfig()
+        config = config if config is not None else StratifiedConfig()
         columns = getattr(trace, "columns", trace)
         self._columns = columns
         # ---- Phase 1: profile + stratify (no simulation) ----
         self._stratum_of = build_strata(
-            columns, self.config.strata_per_type, self.config.min_stratum_size
+            columns, config.strata_per_type, config.min_stratum_size
         )
         self._profiled_types = set(columns.types.names)
         num_strata = int(self._stratum_of.max()) + 1 if columns.num_records else 0
@@ -358,32 +343,25 @@ class StratifiedController:
                 stratum_id=stratum_id,
                 task_type=stratum_type[stratum_id],
                 size=int(sizes[stratum_id]),
-                pilot_target=min(self.config.pilot_samples, int(sizes[stratum_id])),
+                pilot_target=min(config.pilot_samples, int(sizes[stratum_id])),
             )
             for stratum_id in range(num_strata)
         ]
         self._type_cpi: Dict[str, List[float]] = {}  # [cpi sum, count] per type
 
-        self.stats = StratifiedStatistics(
+        stats = StratifiedStatistics(
             num_strata=num_strata,
             pilot_target_total=sum(s.pilot_target for s in self.strata),
-            budget_instances=max(1, int(round(self.config.budget * columns.num_records)))
+            budget_instances=max(1, int(round(config.budget * columns.num_records)))
             if columns.num_records
             else 0,
             strata=self.strata,
         )
+        super().__init__(config, stats)
 
         # ---- Phase 2 runtime state ----
         self.allocated = False
         self._detailed_decided = 0
-        # Explicit per-worker warm-up budgets (initial W versus the short
-        # resample budget) — same accounting as TaskPointController: a
-        # worker first participating after a resample still warms with the
-        # full W, only already-warmed workers re-warm with the short budget.
-        self._warmup_remaining: Dict[int, int] = {}
-        self._warmed_workers: Set[int] = set()
-        self._sampled_thread_count: Optional[int] = None
-        self._thread_change_streak = 0
         # Detailed instances in flight across a resample must not feed the
         # fresh stratum statistics (they were decided under the discarded
         # conditions — e.g. the old thread count).  Decisions are stamped
@@ -403,46 +381,13 @@ class StratifiedController:
         goes back to its pilot state and the allocation is recomputed from
         the new samples.
         """
-        self.stats.resamples += 1
-        self.stats.resample_reasons[reason] += 1
+        self._record_resample(reason)
         for stratum in self.strata:
             stratum.reset_samples()
         self.allocated = False
         self._detailed_decided = 0
         self._sampled_thread_count = None
-        self._thread_change_streak = 0
         self._epoch += 1
-        self._warmup_remaining.clear()
-
-    def _remaining_warmup(self, worker_id: int) -> int:
-        """This worker's warm-up budget: full initial W on first
-        participation (even after a resample), the short resample budget
-        for already-warmed workers after a resample cleared the table."""
-        remaining = self._warmup_remaining.get(worker_id)
-        if remaining is None:
-            remaining = (
-                self.config.resample_warmup_instances
-                if worker_id in self._warmed_workers
-                else self.config.warmup_instances
-            )
-            self._warmup_remaining[worker_id] = remaining
-        return remaining
-
-    def _thread_count_changed(self, active_workers: int) -> bool:
-        """TaskPoint's Figure 4a trigger with tolerance and persistence."""
-        if not self.config.resample_on_thread_change:
-            return False
-        if not self._sampled_thread_count:
-            return False
-        change = (
-            abs(active_workers - self._sampled_thread_count)
-            / self._sampled_thread_count
-        )
-        if change > self.config.thread_change_tolerance:
-            self._thread_change_streak += 1
-        else:
-            self._thread_change_streak = 0
-        return self._thread_change_streak >= self.config.thread_change_persistence
 
     def _pilot_complete(self) -> bool:
         return all(
@@ -494,8 +439,7 @@ class StratifiedController:
         self.allocated = True
         self.stats.allocations += 1
         self.stats.transitions_to_fast += 1
-        self._sampled_thread_count = active_workers
-        self._thread_change_streak = 0
+        self._arm_thread_trigger(active_workers)
 
     # ------------------------------------------------------------------
     # Fast-forward IPC
@@ -608,19 +552,15 @@ class StratifiedController:
                 stratum.ff_cycles += info.cycles
             return
         self._warmed_workers.add(info.worker_id)
-        if info.ipc <= 0:
-            return
+        ipc = self._measured_ipc(info)
         task_type = info.instance.task_type.name
         aggregate = self._type_cpi.setdefault(task_type, [0.0, 0])
-        aggregate[0] += 1.0 / info.ipc
+        aggregate[0] += 1.0 / ipc
         aggregate[1] += 1
         if info.is_warmup:
             # Warm-up IPCs are cold-cache biased: they feed only the
             # type-level fallback mean, never the stratum estimator.
-            self.stats.warmup_instances += 1
-            remaining = self._remaining_warmup(info.worker_id)
-            if remaining > 0:
-                self._warmup_remaining[info.worker_id] = remaining - 1
+            self._complete_warmup(info.worker_id)
             return
         epoch = self._decision_epoch.pop(instance_id, self._epoch)
         if stratum is None or epoch != self._epoch:
@@ -629,5 +569,5 @@ class StratifiedController:
             # fallback mean (fed above) but not as a stratum sample.
             self.stats.invalid_samples += 1
             return
-        stratum.observe(info.ipc)
+        stratum.observe(ipc)
         self.stats.valid_samples += 1

@@ -36,9 +36,7 @@ import os
 from collections import OrderedDict
 from typing import Dict, Tuple
 
-from repro.core.controller import TaskPointController
-from repro.core.fidelity import FidelityConfig, FidelityController
-from repro.core.stratified import StratifiedConfig, StratifiedController
+from repro.core.api import make_controller
 from repro.exp.spec import ExperimentResult, ExperimentSpec
 from repro.sim.simulator import TaskSimSimulator
 from repro.trace.trace import ApplicationTrace
@@ -141,11 +139,6 @@ def run_spec(spec: ExperimentSpec) -> ExperimentResult:
     if spec.is_detailed:
         result = simulator.run(trace, num_threads=spec.num_threads, controller=None)
         return ExperimentResult.from_simulation(spec, result)
-    if isinstance(spec.config, StratifiedConfig):
-        controller = StratifiedController(trace, config=spec.config)
-    elif isinstance(spec.config, FidelityConfig):
-        controller = FidelityController(trace, config=spec.config)
-    else:
-        controller = TaskPointController(config=spec.config)
+    controller = make_controller(trace, spec.config)
     result = simulator.run(trace, num_threads=spec.num_threads, controller=controller)
     return ExperimentResult.from_simulation(spec, result, stats=controller.stats)
