@@ -11,46 +11,49 @@ that already started in detailed mode run to completion in detailed mode
 while newly dispatched instances start in burst mode, so short mixed phases
 occur naturally.
 
-Dispatch is index based: detailed execution goes through the
+One dispatch loop, :meth:`SimulationEngine.run`, serves every
+configuration.  Dispatch is index based: detailed execution goes through the
 :class:`~repro.arch.batch.BatchedCoreExecutor`, which resolves a task
 instance by its record index on the columnar trace backbone, and results
 accumulate into a columnar :class:`~repro.sim.results.InstanceTable`.  The
-original per-record model (``use_batched=False``) is kept for equivalence
-testing and as the baseline of the hot-path microbenchmark; both paths
-produce bit-identical results.
+original per-record model (``use_batched=False``) is kept only as the test
+oracle and the baseline of the hot-path microbenchmark; it runs through the
+same loop and produces bit-identical results.
 
-Deferred grouped dispatch (``use_vector``)
-------------------------------------------
+Deferred grouped dispatch
+-------------------------
 A dispatched instance's cycle count is only *consumed* when that instance
-could be the next completion on the heap.  The grouped-dispatch path
-therefore defers the detailed evaluation of instances that commute with all
-other deferred instances (different cores, no shared-data writes — see
-:mod:`repro.arch.vector`; same-set accesses at shared levels are serialised
-in-kernel, so set aliasing does not break a group): as long as an
-already-known completion provably precedes every deferred instance's
-completion (its end time is bounded below by the dispatch cycle plus the
-precomputed contention-free dispatch floor), the engine keeps popping known
-completions and dispatching further work.  When the bound no longer
-separates them, the whole deferred group is evaluated at once — in dispatch
-order, so results and statistics are bit-identical to immediate
-evaluation — and pushed onto the heap.  In steady state this yields groups
-close to ``num_threads`` even though the simulated schedule dispatches one
-instance per completion.
+could be the next completion on the heap.  With more than one worker and the
+batched executor, the loop therefore defers the detailed evaluation of
+instances that commute with all other deferred instances (different cores,
+no shared-data writes — see :mod:`repro.arch.vector`; same-set accesses at
+shared levels are serialised in-kernel, so set aliasing does not break a
+group): as long as an already-known completion provably precedes every
+deferred instance's completion (its end time is bounded below by the
+dispatch cycle plus the precomputed contention-free dispatch floor), the
+engine keeps popping known completions and dispatching further work.  When
+the bound no longer separates them, the whole deferred group is evaluated at
+once — in dispatch order, so results and statistics are bit-identical to
+immediate evaluation — and pushed onto the heap.  In steady state this
+yields groups close to ``num_threads`` even though the simulated schedule
+dispatches one instance per completion.  Every other detailed instance (a
+shared-data writer, any instance of a one-worker run or of the per-record
+oracle) is evaluated at once, after the pending group is drained; a loop
+that never defers is the plain discrete-event loop.
 
 Groups execute through one of two backends, chosen by a measured adaptive
-policy in :meth:`SimulationEngine._run_grouped`: the scalar grouped
-executor (plain :class:`~repro.arch.batch.BatchedCoreExecutor` calls) or
-the vectorised walk kernel (:class:`~repro.arch.vector.VectorWalkEngine`).
-The engine first measures scalar per-event cost over a warm-up window,
-then — if the trace is event-heavy enough for the kernel's fixed overhead
-to amortise — trials the kernel over a few groups and keeps whichever
-backend is faster, deactivating the kernel when the trial loses (rows the
-kernel touched stay plane-resident in the shared tag stores and the scalar
-walk materialises them lazily, so abandoning costs nothing beyond the trial
-itself).  Both backends are bit-identical, so the choice affects wall time
-only; per-run coverage is reported in
-:attr:`SimulationEngine.vector_stats`, along with a per-phase wall-time
-breakdown when ``$REPRO_PROFILE`` is set.
+policy in :meth:`SimulationEngine.run`: the scalar grouped executor (plain
+:class:`~repro.arch.batch.BatchedCoreExecutor` calls) or the vectorised walk
+kernel (:class:`~repro.arch.vector.VectorWalkEngine`).  The engine first
+measures scalar per-event cost over a warm-up window, then — if the trace is
+event-heavy enough for the kernel's fixed overhead to amortise — trials the
+kernel over a few groups and keeps whichever backend is faster, deactivating
+the kernel when the trial loses (rows the kernel touched stay plane-resident
+in the shared tag stores and the scalar walk materialises them lazily, so
+abandoning costs nothing beyond the trial itself).  Both backends are
+bit-identical, so the choice affects wall time only; per-run coverage is
+reported in :attr:`SimulationEngine.vector_stats`, along with a per-phase
+wall-time breakdown when ``$REPRO_PROFILE`` is set.
 """
 
 from __future__ import annotations
@@ -75,7 +78,6 @@ from repro.sim.modes import (
     AlwaysDetailedController,
     CompletionInfo,
     ModeController,
-    ModeDecision,
     SimulationMode,
 )
 from repro.sim.results import InstanceTable, SimulationResult
@@ -114,16 +116,14 @@ class SimulationEngine:
         Mode controller; defaults to full detailed simulation.
     noise_model:
         Optional multiplicative noise applied to detailed-mode cycle counts
-        (used by the native-execution substitute).
+        (used by the native-execution substitute).  Every factor it returns
+        must be positive; anything else raises :class:`ValueError` at
+        dispatch.
     use_batched:
-        Use the batched columnar executor for detailed mode (default).  The
-        per-record ``DetailedCoreModel`` path produces bit-identical results
-        and remains available as the microbenchmark baseline.
-    use_vector:
-        Use the deferred grouped-dispatch path feeding commuting instances
-        to the vectorised walk engine (default when ``use_batched``; forced
-        off otherwise).  Results are bit-identical either way; the flag
-        exists for equivalence testing and benchmarking.
+        Use the batched columnar executor for detailed mode (default).
+        ``False`` selects the per-record ``DetailedCoreModel`` instead: the
+        bit-identical test oracle and the hot-path microbenchmark baseline,
+        never deferred or grouped.
     """
 
     def __init__(
@@ -135,7 +135,6 @@ class SimulationEngine:
         controller: Optional[ModeController] = None,
         noise_model: Optional[NoiseModel] = None,
         use_batched: bool = True,
-        use_vector: Optional[bool] = None,
     ) -> None:
         if num_threads < 1:
             raise ValueError("num_threads must be >= 1")
@@ -149,13 +148,18 @@ class SimulationEngine:
         self.noise_model = noise_model
         self.memory_system = MemorySystem(architecture, num_threads)
         rob = RobModel(architecture.core, l1_latency=architecture.l1.latency_cycles)
-        self.cores = [
-            DetailedCoreModel(core_id, self.memory_system, rob)
-            for core_id in range(num_threads)
-        ]
+        #: Per-record oracle cores, one per worker (``use_batched=False`` only).
+        self.cores: Optional[List[DetailedCoreModel]] = (
+            None
+            if use_batched
+            else [
+                DetailedCoreModel(core_id, self.memory_system, rob)
+                for core_id in range(num_threads)
+            ]
+        )
         # Per-phase wall-time breakdown (static precompute / scalar walk /
         # kernel / lazy export), recorded when ``$REPRO_PROFILE`` is set and
-        # surfaced as ``vector_stats["phase_wall_s"]`` after a grouped run.
+        # surfaced as ``vector_stats["phase_wall_s"]`` after a run.
         self._phase_wall: Optional[Dict[str, float]] = (
             {"static": 0.0, "scalar_walk": 0.0, "kernel": 0.0, "export": 0.0}
             if os.environ.get("REPRO_PROFILE")
@@ -171,15 +175,13 @@ class SimulationEngine:
             self._phase_wall["static"] = time.perf_counter() - static_start
             for store in self.memory_system.stores:
                 store.profile = True
-        if use_vector is None:
-            use_vector = use_batched
-        # A single worker never accumulates a group; skip the bookkeeping.
+        # A single worker never accumulates a group, so it never defers.
         self.vector: Optional[VectorWalkEngine] = (
             VectorWalkEngine(self.batched)
-            if use_vector and self.batched is not None and num_threads > 1
+            if self.batched is not None and num_threads > 1
             else None
         )
-        #: Coverage counters of the grouped-dispatch path (vector-walked vs
+        #: Coverage counters of the detailed path (vector-walked vs
         #: scalar-executed detailed instances, group count and sizes).  Kept
         #: on the engine — never in :class:`SimulationResult` — so stored
         #: experiment payloads stay byte-identical across backends.
@@ -193,158 +195,19 @@ class SimulationEngine:
         self._sequence = 0
 
     # ------------------------------------------------------------------
-    def _execute_detailed(
-        self, worker_id: int, instance: TaskInstance, active_workers: int
-    ) -> tuple:
-        """Run ``instance`` through the detailed model; return (cycles, ipc)."""
-        noise = self.noise_model(instance) if self.noise_model is not None else None
-        batched = self.batched
-        if batched is not None:
-            index = instance.instance_id
-            cycles, ipc = batched.execute(
-                index, worker_id, active_cores=active_workers, noise=noise
-            )
-            self.cost.charge_detailed(
-                instructions=instance.instructions,
-                memory_events=batched.detail_events(index),
-            )
-            return cycles, ipc
-        execution = self.cores[worker_id].execute(
-            instance.record, active_cores=active_workers, noise=noise
-        )
-        self.cost.charge_detailed(
-            instructions=instance.instructions,
-            memory_events=execution.memory_events,
-        )
-        return execution.cycles, execution.ipc
-
-    def _execute_burst(self, instance: TaskInstance, ipc: float) -> tuple:
-        """Advance ``instance`` in burst mode at ``ipc``; return (cycles, ipc)."""
-        cycles = max(1.0, instance.instructions / ipc)
-        self.cost.charge_burst()
-        return cycles, instance.instructions / cycles
-
-    # ------------------------------------------------------------------
     def run(self) -> SimulationResult:
-        """Simulate the complete application and return the result."""
-        if self.vector is not None:
-            return self._run_grouped()
-        current_cycle = 0.0
-        # Min-heap of idle worker ids: dispatch always picks the lowest id
-        # first, at O(log n) per push/pop instead of the O(n) pop(0)/sort of
-        # a plain list.
-        idle_workers: List[int] = list(range(self.num_threads))
-        heapq.heapify(idle_workers)
-        completions: List[tuple] = []
-        running: set = set()
-        results = InstanceTable()
-        controller = self.controller
-        # The default controller's decision is a singleton constant and its
-        # completion callback is a no-op: skip both calls (and the
-        # CompletionInfo construction) in the hot loop.
-        fast_detailed = type(controller) is AlwaysDetailedController
+        """Simulate the complete application and return the result.
 
-        while not self.runtime.finished():
-            # Dispatch ready instances to idle workers.  Assignments are
-            # collected first so every instance dispatched at this simulated
-            # instant sees the same active-worker count (they will execute
-            # concurrently, so they contend with each other).
-            assignments: List[tuple] = []
-            while idle_workers:
-                worker_id = idle_workers[0]
-                instance = self.runtime.next_task(worker_id)
-                if instance is None:
-                    break
-                heapq.heappop(idle_workers)
-                assignments.append((worker_id, instance))
-            active_workers = len(running) + len(assignments)
-            for worker_id, instance in assignments:
-                decision = (
-                    DETAILED_DECISION
-                    if fast_detailed
-                    else controller.choose_mode(
-                        instance, worker_id, active_workers, current_cycle
-                    )
-                )
-                instance.mark_running(worker_id, current_cycle)
-                if decision.mode is SimulationMode.DETAILED:
-                    cycles, ipc = self._execute_detailed(
-                        worker_id, instance, active_workers
-                    )
-                else:
-                    cycles, ipc = self._execute_burst(instance, decision.ipc)
-                self._sequence += 1
-                heapq.heappush(
-                    completions,
-                    (current_cycle + cycles, self._sequence, worker_id, instance,
-                     decision, ipc),
-                )
-                running.add(worker_id)
-
-            if not completions:
-                if self.runtime.finished():
-                    break
-                raise DeadlockError(
-                    f"no runnable tasks but {self.runtime.num_instances - self.runtime.num_completed}"
-                    " instances remain; the trace's dependency graph cannot progress"
-                )
-
-            # Advance to the next completion.
-            current_cycle, _, worker_id, instance, decision, completion_ipc = (
-                heapq.heappop(completions)
-            )
-            running.remove(worker_id)
-            instance.mark_completed(current_cycle)
-            start_cycle = instance.start_cycle
-            if not fast_detailed:
-                controller.notify_completion(
-                    CompletionInfo(
-                        instance,
-                        decision.mode,
-                        current_cycle - start_cycle,
-                        completion_ipc,
-                        decision.is_warmup,
-                        start_cycle,
-                        current_cycle,
-                        worker_id,
-                        len(running) + 1,
-                    )
-                )
-            self.runtime.notify_completion(instance, worker_id)
-            heapq.heappush(idle_workers, worker_id)
-            results.append(
-                instance.instance_id,
-                instance.task_type.name,
-                worker_id,
-                decision.mode is SimulationMode.DETAILED,
-                instance.instructions,
-                start_cycle,
-                current_cycle,
-                completion_ipc,
-                decision.is_warmup,
-            )
-
-        return SimulationResult(
-            benchmark=self.trace.name,
-            architecture=self.architecture.name,
-            num_threads=self.num_threads,
-            total_cycles=current_cycle,
-            instances=results,
-            cost=self.cost,
-            metadata={"scheduler": type(self.runtime.scheduler).__name__},
-        )
-
-    # ------------------------------------------------------------------
-    def _run_grouped(self) -> SimulationResult:
-        """The deferred grouped-dispatch variant of :meth:`run`.
-
-        Control flow, float operation order and heap semantics replay
-        :meth:`run` exactly; the only difference is *when* commuting
-        detailed instances are evaluated (grouped, at the latest point the
-        completion order still provably matches) and *how* (vector kernel
-        for large groups, scalar executor otherwise).
+        Detailed instances that commute are deferred and evaluated in
+        groups (vector kernel or scalar grouped executor) at the latest
+        point the completion order still provably matches immediate
+        evaluation; every other detailed instance is evaluated at once.
+        Either way control flow, float operation order and heap semantics
+        are those of a plain discrete-event loop.
         """
         current_cycle = 0.0
+        # Min-heap of idle worker ids: dispatch always picks the lowest id
+        # first.
         idle_workers: List[int] = list(range(self.num_threads))
         heapq.heapify(idle_workers)
         completions: List[tuple] = []
@@ -353,30 +216,32 @@ class SimulationEngine:
 
         vector = self.vector
         batched = self.batched
+        cores = self.cores
         noise_model = self.noise_model
-        cycles_floor = batched.plan.cycles_floor_list
-        detail_events = batched.detail_events
+        cycles_floor = batched.plan.cycles_floor_list if vector is not None else None
+        detail_events = batched.detail_events if batched is not None else None
         stats = self.vector_stats
         controller = self.controller
         fast_detailed = type(controller) is AlwaysDetailedController
 
-        # Hot-loop bindings.  This method is the default detailed path and
-        # its per-instance engine overhead is directly visible in the
-        # hot-path benchmark, so method lookups are hoisted and the
-        # checked READY->RUNNING->COMPLETED transitions are inlined (the
-        # instances handed out by ``next_task`` are READY by construction;
-        # :meth:`run` keeps the checked ``mark_*`` API).
+        # Hot-loop bindings.  The per-instance engine overhead is directly
+        # visible in the hot-path benchmark, so method lookups are hoisted
+        # and the checked READY->RUNNING->COMPLETED transitions are inlined
+        # (the instances handed out by ``next_task`` are READY by
+        # construction).
         runtime = self.runtime
         runtime_finished = runtime.finished
         next_task = runtime.next_task
         runtime_notify = runtime.notify_completion
         cost = self.cost
         charge_detailed = cost.charge_detailed
+        charge_burst = cost.charge_burst
         results_append = results.append
         heappush = heapq.heappush
         heappop = heapq.heappop
         choose_mode = controller.choose_mode
-        record_commutes = vector.record_commutes
+        # ``None`` when the engine never defers (one worker, or the oracle).
+        record_commutes = vector.record_commutes if vector is not None else None
         running_state = TaskState.RUNNING
         completed_state = TaskState.COMPLETED
         detailed_mode = SimulationMode.DETAILED
@@ -399,10 +264,11 @@ class SimulationEngine:
         # and the bulk of row adoption and are excluded); the faster
         # backend — by measured per-event wall time — is then committed
         # for the rest of the run, except that a trial measuring hopelessly
-        # behind is abandoned after a couple of counted groups.  Abandoning the kernel is nearly free: rows it touched
-        # stay plane-resident in the level tag stores and the scalar walk
-        # materialises each one lazily on first touch, so ``deactivate``
-        # only drains the deferred statistics.
+        # behind is abandoned after a couple of counted groups.  Abandoning
+        # the kernel is nearly free: rows it touched stay plane-resident in
+        # the level tag stores and the scalar walk materialises each one
+        # lazily on first touch, so ``deactivate`` only drains the deferred
+        # statistics.
         BACKEND_SCALAR_MEASURE = 0
         BACKEND_KERNEL_TRIAL = 1
         BACKEND_KERNEL = 2
@@ -575,25 +441,18 @@ class SimulationEngine:
                 instance.start_cycle = current_cycle
                 sequence += 1
                 if decision.mode is detailed_mode:
-                    noise = (
-                        noise_model(instance) if noise_model is not None else None
-                    )
                     index = instance.instance_id
-                    if record_commutes(index) and (
-                        noise is None or noise > 0.0
-                    ):
-                        deferred.append(
-                            (
-                                current_cycle,
-                                sequence,
-                                worker_id,
-                                instance,
-                                decision,
-                                active_workers,
-                                noise,
-                                index,
+                    noise = None
+                    if noise_model is not None:
+                        noise = noise_model(instance)
+                        if not noise > 0.0:
+                            raise ValueError(
+                                f"noise model returned factor {noise!r} for "
+                                f"instance {index}; factors must be positive"
                             )
-                        )
+                    if record_commutes is not None and record_commutes(index):
+                        deferred.append((current_cycle, sequence, worker_id, instance,
+                                         decision, active_workers, noise, index))
                         deferred_events += detail_events(index)
                         bound = cycles_floor[index]
                         if noise is not None:
@@ -603,34 +462,52 @@ class SimulationEngine:
                             deferred_bound = bound
                         running.add(worker_id)
                         continue
-                    # Shared-data writer (or non-positive noise): order
-                    # matters against everything — drain the group first.
+                    # Evaluated at once (shared-data writer, one-worker run
+                    # or oracle): order matters against everything — drain
+                    # the group first.
                     if deferred:
                         flush_deferred()
-                    if (noise is None or noise > 0.0) and vector.kernel_active():
+                    if phase_wall is not None:
+                        start = perf_counter()
+                    if cores is not None:
+                        execution = cores[worker_id].execute(
+                            instance.record, active_cores=active_workers, noise=noise
+                        )
+                        cycles = execution.cycles
+                        ipc = execution.ipc
+                        memory_events = execution.memory_events
+                        walk_phase = "scalar_walk"
+                        stats["scalar_instances"] += 1
+                    elif vector is not None and vector.kernel_active():
                         # Writer on the plane state: its own walk plus the
                         # coherence invalidations, no dict round trip.
                         cycles, ipc = vector.execute_writer(
                             index, worker_id, active_workers, noise
                         )
+                        memory_events = detail_events(index)
+                        walk_phase = "kernel"
                         stats["vector_instances"] += 1
                     else:
-                        # Kernel inactive (nothing commutes, or it lost its
-                        # trial) or pathological noise: scalar path — any
-                        # plane-resident rows materialise lazily on touch.
+                        # Kernel absent, inactive (nothing commutes yet) or
+                        # abandoned: scalar path — any plane-resident rows
+                        # materialise lazily on touch.
                         cycles, ipc = batched.execute(
-                            index,
-                            worker_id,
-                            active_cores=active_workers,
-                            noise=noise,
+                            index, worker_id, active_cores=active_workers, noise=noise
                         )
+                        memory_events = detail_events(index)
+                        walk_phase = "scalar_walk"
                         stats["scalar_instances"] += 1
+                    if phase_wall is not None:
+                        phase_wall[walk_phase] += perf_counter() - start
                     charge_detailed(
                         instructions=instance.instructions,
-                        memory_events=detail_events(index),
+                        memory_events=memory_events,
                     )
                 else:
-                    cycles, ipc = self._execute_burst(instance, decision.ipc)
+                    instructions = instance.instructions
+                    cycles = max(1.0, instructions / decision.ipc)
+                    ipc = instructions / cycles
+                    charge_burst()
                 heappush(
                     completions,
                     (current_cycle + cycles, sequence, worker_id, instance,
@@ -697,7 +574,8 @@ class SimulationEngine:
         # that do inspect them (the equivalence tests) call
         # ``flush_state()``, and any later scalar reader materialises rows
         # lazily.
-        vector.flush_statistics()
+        if vector is not None:
+            vector.flush_statistics()
         if phase_wall is not None:
             phase_wall["export"] = sum(
                 store.export_seconds for store in self.memory_system.stores

@@ -1,13 +1,14 @@
 """Equivalence and plan-cache tests for the grouped/vectorised detailed path.
 
-The grouped-dispatch engine (``use_vector=True``, the default) defers
-commuting detailed instances and executes them through the scalar grouped
-executor or the vectorised walk kernel, chosen adaptively at run time.  All
+With more than one worker the engine defers commuting detailed instances
+and executes them through the scalar grouped executor or the vectorised walk
+kernel, chosen adaptively at run time; a one-worker run never defers.  All
 of it is an implementation detail: results, cache/interconnect/DRAM
 statistics and the final tag-store contents must be bit-identical to the
 per-record ``DetailedCoreModel`` oracle.  These tests pin that equivalence
 across every registered workload, both Table II architectures and all three
-simulation policies, plus the noise-model and shared-writer special paths.
+simulation policies, plus the noise-model, shared-writer and one-worker
+special paths.
 
 The plan-cache tests cover the static-precomputation memoisation: one
 :class:`~repro.arch.batch.ExecutionPlan` per (trace columns, model
@@ -159,15 +160,15 @@ def test_vector_path_matches_oracle_sampled(workload, mode):
 
 
 # ---------------------------------------------------------------------------
-# Special paths: noise model, shared-data writers, scalar grouped backend.
+# Special paths: noise model, shared-data writers, one worker.
 # ---------------------------------------------------------------------------
+def _noise(instance):
+    return 1.0 + (instance.instance_id % 5) * 0.07
+
+
 def test_vector_path_matches_oracle_with_noise():
     trace = get_workload("cholesky").generate(scale=SCALE, seed=SEED)
-
-    def noise(instance):
-        return 1.0 + (instance.instance_id % 5) * 0.07
-
-    _assert_equivalent(trace, "highperf", "detailed", noise_model=noise)
+    _assert_equivalent(trace, "highperf", "detailed", noise_model=_noise)
 
 
 def test_shared_writer_workload_matches_oracle():
@@ -249,17 +250,23 @@ def test_eviction_storm_actually_storms():
         )
 
 
-def test_scalar_grouped_backend_matches_oracle():
-    # use_vector=False: grouped dispatch disabled entirely; use_batched=True
-    # scalar executor against the per-record oracle.
-    trace = get_workload("blackscholes").generate(scale=SCALE, seed=SEED)
-    batched, batched_result = _run(trace, "highperf", "detailed",
-                                   use_vector=False)
-    oracle, oracle_result = _run(trace, "highperf", "detailed",
-                                 use_batched=False)
-    assert _fingerprint(batched_result) == _fingerprint(oracle_result)
-    assert _memory_stats(batched) == _memory_stats(oracle)
-    assert _tag_stores(batched) == _tag_stores(oracle)
+def test_single_thread_matches_oracle():
+    # One worker never defers: every detailed instance runs at once through
+    # the batched executor, the loop's immediate (never-deferring) path.
+    trace = get_workload("cholesky").generate(scale=SCALE, seed=SEED)
+    _assert_equivalent(trace, "highperf", "detailed", threads=1)
+    _assert_equivalent(trace, "highperf", "detailed", noise_model=_noise,
+                       threads=1)
+
+
+def test_single_thread_never_groups():
+    trace = get_workload("cholesky").generate(scale=SCALE, seed=SEED)
+    engine, result = _run(trace, "highperf", "detailed", threads=1)
+    stats = engine.vector_stats
+    assert engine.vector is None
+    assert stats["scalar_instances"] == result.cost.detailed_instances
+    assert stats["vector_instances"] == 0
+    assert stats["groups"] == 0
 
 
 def test_vector_stats_cover_all_detailed_instances():

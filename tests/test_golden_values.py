@@ -181,18 +181,13 @@ def test_golden_simulation_values(traces, workload, arch_name, mode):
     assert _fingerprint(result) == GOLDEN[(workload, arch_name, mode)]
 
 
-#: The three detailed-path backends must all reproduce the golden values:
-#: the default grouped/vectorised engine is covered above (via the
-#: simulator); these pin the batched-scalar path (grouped dispatch off) and
-#: the per-record oracle to the *same* fingerprints, so a drift in any one
-#: implementation — not just a drift in all three at once — fails loudly.
-_BACKEND_FLAGS = {
-    "batched-scalar": {"use_vector": False},
-    "per-record": {"use_batched": False},
-}
-
-
-@pytest.mark.parametrize("backend", sorted(_BACKEND_FLAGS))
+#: The detailed path must reproduce the golden values however it dispatches:
+#: the default engine (deferred groups, scalar or kernel walks) is covered
+#: above via the simulator; these pin the batched executor with every
+#: instance evaluated at once ("batched-scalar") and the per-record oracle
+#: to the *same* fingerprints, so a drift in any one implementation — not
+#: just a drift in all of them at once — fails loudly.
+@pytest.mark.parametrize("backend", ["batched-scalar", "per-record"])
 @pytest.mark.parametrize(
     "workload,arch_name,mode", sorted(GOLDEN), ids=lambda v: str(v)
 )
@@ -202,6 +197,12 @@ def test_golden_values_backend_invariant(traces, workload, arch_name, mode, back
         _ARCHITECTURES[arch_name](),
         num_threads=THREADS,
         controller=_controller(mode),
-        **_BACKEND_FLAGS[backend],
+        use_batched=backend == "batched-scalar",
     )
+    if backend == "batched-scalar":
+        # Without the walk engine the loop defers nothing: every detailed
+        # instance runs at once through the batched executor — the path of
+        # one-worker runs and shared-data writers — here at the golden
+        # thread count, so contention and coherence are exercised too.
+        engine.vector = None
     assert _fingerprint(engine.run()) == GOLDEN[(workload, arch_name, mode)]

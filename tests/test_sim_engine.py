@@ -1,5 +1,7 @@
 """Unit and integration tests for the simulation engine and simulator facade."""
 
+import re
+
 import pytest
 
 from repro.sim.engine import DeadlockError, SimulationEngine
@@ -95,6 +97,21 @@ class TestModeControllerIntegration:
         assert noisy.total_cycles == pytest.approx(base.total_cycles * 2.0, rel=0.01)
 
 
+@pytest.mark.parametrize("factor", [0.0, -1.0, float("nan")])
+@pytest.mark.parametrize("use_batched", [True, False])
+@pytest.mark.parametrize("threads", [1, 4])
+def test_non_positive_noise_factor_rejected(high_perf, threads, use_batched, factor):
+    engine = SimulationEngine(
+        build_uniform_trace(num_instances=20),
+        high_perf,
+        num_threads=threads,
+        use_batched=use_batched,
+        noise_model=lambda instance: factor if instance.instance_id == 5 else 1.0,
+    )
+    with pytest.raises(ValueError, match=re.escape(f"{factor!r} for instance 5;")):
+        engine.run()
+
+
 class TestSimulatorFacade:
     def test_run_records_wall_time(self, uniform_trace):
         simulator = TaskSimSimulator()
@@ -131,21 +148,25 @@ def uniform_trace2():
 class TestPhaseProfile:
     """The $REPRO_PROFILE per-phase wall-time breakdown in vector_stats."""
 
-    def test_phase_breakdown_recorded_when_profiling(self, monkeypatch, high_perf):
+    @pytest.mark.parametrize("threads", [1, 4])
+    def test_phase_breakdown_recorded_when_profiling(
+        self, monkeypatch, high_perf, threads
+    ):
         monkeypatch.setenv("REPRO_PROFILE", "1")
         trace = build_uniform_trace(num_instances=60)
-        engine = SimulationEngine(trace, high_perf, num_threads=4)
+        engine = SimulationEngine(trace, high_perf, num_threads=threads)
         engine.run()
         phases = engine.vector_stats["phase_wall_s"]
         assert set(phases) == {"static", "scalar_walk", "kernel", "export"}
         assert all(value >= 0.0 for value in phases.values())
-        # The grouped run executed detailed instances, so at least one of
-        # the walk phases must have accumulated wall time.
+        # The run executed detailed instances, so at least one of the walk
+        # phases must have accumulated wall time.
         assert phases["scalar_walk"] + phases["kernel"] > 0.0
 
-    def test_phase_breakdown_absent_by_default(self, monkeypatch, high_perf):
+    @pytest.mark.parametrize("threads", [1, 4])
+    def test_phase_breakdown_absent_by_default(self, monkeypatch, high_perf, threads):
         monkeypatch.delenv("REPRO_PROFILE", raising=False)
         trace = build_uniform_trace(num_instances=60)
-        engine = SimulationEngine(trace, high_perf, num_threads=4)
+        engine = SimulationEngine(trace, high_perf, num_threads=threads)
         engine.run()
         assert "phase_wall_s" not in engine.vector_stats
