@@ -45,7 +45,7 @@ def cache() -> ExperimentHarness:
     the orchestrator's shared result store lets Figures 7/9 (and 8/10) use
     identical baselines, just as the paper evaluates both policies against
     the same detailed runs.  Set ``REPRO_BENCH_JOBS=N`` to run every grid on
-    an N-process pool and ``REPRO_BENCH_CACHE_DIR`` to persist results
+    N worker processes and ``REPRO_BENCH_CACHE_DIR`` to persist results
     across sessions.
     """
     return ExperimentHarness()

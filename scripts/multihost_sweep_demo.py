@@ -5,7 +5,8 @@ Runs the full paper grid — all 19 benchmarks of Table I x both Table II
 architectures, sampled + detailed baseline — twice: once on the in-process
 ``SerialBackend`` and once through :class:`repro.exp.hosts.MultiHostBackend`
 with (by default) two simulated hosts of two workers each, every worker a
-connect-back TCP subprocess speaking the compressed frame protocol.  Both
+connect-back TCP subprocess speaking the frame protocol (zlib-compressed on
+TCP).  Both
 runs persist into on-disk :class:`ResultStore` caches, and the demo asserts
 the stores are **byte-identical** (failure diagnostics excluded, per the
 store convention) — the multi-host transport's headline guarantee.
@@ -105,8 +106,6 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--threads-highperf", type=int, default=8)
     parser.add_argument("--threads-lowpower", type=int, default=4)
-    parser.add_argument("--no-compress", action="store_true",
-                        help="disable zlib frame compression")
     parser.add_argument("--keep", metavar="DIR", default=None,
                         help="keep the two stores under DIR instead of a "
                              "temporary directory")
@@ -153,7 +152,6 @@ def main(argv=None) -> int:
             args.hosts,
             listen_host=listen_host,
             listen_port=listen_port,
-            compress=not args.no_compress,
             batch=args.batch,
             store=multi_store,
         )

@@ -15,9 +15,8 @@ The library is organised in layers, from the substrate upwards:
 * :mod:`repro.core` — TaskPoint itself: sample histories, warm-up, sampling
   policies, accurate fast-forwarding and the sampling controller,
 * :mod:`repro.exp` — the experiment orchestration layer: hashable
-  experiment specs, serial/process-pool/distributed-async execution
-  backends and the persistent sharded result store every evaluation
-  runs on,
+  experiment specs, serial/async-worker/multi-host execution backends
+  and the persistent sharded result store every evaluation runs on,
 * :mod:`repro.analysis` — IPC-variation analysis, accuracy/speedup metrics,
   parameter sweeps and the experiment drivers behind every figure and table.
 
@@ -43,7 +42,6 @@ from repro.exp import (
     ExperimentFailure,
     ExperimentResult,
     ExperimentSpec,
-    ProcessPoolBackend,
     ResultStore,
     SerialBackend,
     run_experiments,
@@ -67,7 +65,6 @@ __all__ = [
     "ExperimentResult",
     "ExperimentFailure",
     "SerialBackend",
-    "ProcessPoolBackend",
     "AsyncWorkerBackend",
     "ResultStore",
     "run_experiments",

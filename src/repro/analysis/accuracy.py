@@ -7,8 +7,8 @@ count; its performance metric is the simulation speedup of the sampled run
 over the detailed run.  This module expresses those experiment pairs as
 :class:`~repro.exp.spec.ExperimentSpec` grids submitted to the experiment
 orchestrator (:func:`repro.exp.run_experiments`), which deduplicates the
-shared detailed baselines, optionally runs the grid on a process pool and
-caches every result persistently.
+shared detailed baselines, optionally runs the grid on parallel worker
+processes and caches every result persistently.
 """
 
 from __future__ import annotations
@@ -261,7 +261,7 @@ def evaluate_grid(
     scheduler / scheduler_seed:
         Dynamic scheduling policy of the simulated runtime.
     backend:
-        Execution backend (e.g. ``ProcessPoolBackend(max_workers=4)``);
+        Execution backend (e.g. ``AsyncWorkerBackend(num_workers=4)``);
         defaults to serial in-process execution.
     store:
         Optional result store; a warm store re-runs the grid without a

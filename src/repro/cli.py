@@ -22,11 +22,12 @@ The CLI exposes the most common workflows without writing any Python:
   one).
 
 The experiment-driven commands (``compare``, ``grid``, ``sweep``) accept
-``--jobs N`` to shard their experiments over an N-process pool,
-``--backend {auto,serial,pool,async,multihost} --workers N`` to pick the
-execution backend explicitly (``async`` is the distributed asyncio
-supervisor over ``repro.exp.worker`` subprocesses, with heartbeats and
-retry on worker death; ``multihost`` fans workers out across machines),
+``--jobs N`` to shard their experiments over N worker processes,
+``--backend {auto,serial,async,multihost}`` to pick the execution backend
+explicitly (``auto`` is serial for ``--jobs 1`` and ``async`` otherwise;
+``async`` is the asyncio supervisor over ``--jobs`` ``repro.exp.worker``
+subprocesses, with heartbeats and retry on worker death; ``multihost`` fans
+workers out across machines),
 ``--hosts host1:4,host2:8 [--listen PORT]`` to shard a grid over a cluster
 of connect-back workers (local subprocesses or SSH),
 ``--batch {N,adaptive[:N]}`` to pack several specs into one dispatch frame
@@ -230,21 +231,14 @@ def _benchmark_list(raw: str) -> List[str]:
 
 def _backend_and_store(args: argparse.Namespace):
     store = ResultStore(args.cache_dir) if args.cache_dir else default_store()
-    if args.workers is not None and args.backend not in ("pool", "async"):
-        raise ValueError(
-            "--workers requires --backend pool or async "
-            "(parallelism under --backend auto is controlled by --jobs; "
-            "multihost budgets live in --hosts)"
-        )
     if args.hosts and args.backend not in ("auto", "multihost"):
         raise ValueError("--hosts requires --backend multihost (or auto)")
     if args.listen and not (args.hosts or args.backend == "multihost"):
         raise ValueError(
             "--listen only applies to the multihost backend (pass --hosts)"
         )
-    workers = args.workers if args.workers is not None else args.jobs
     backend = make_named_backend(
-        args.backend, workers=workers, store=store,
+        args.backend, workers=args.jobs, store=store,
         hosts=args.hosts, listen=args.listen, connect_host=args.connect_host,
         batch=args.batch,
     )
@@ -306,15 +300,13 @@ def _add_mode_alias(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_orchestrator_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--jobs", type=int, default=1,
+    parser.add_argument("--jobs", type=_bounded_int("--jobs", 1), default=1,
                         help="parallel worker processes (default 1 = serial)")
     parser.add_argument("--backend", choices=list(BACKEND_NAMES), default="auto",
-                        help="execution backend (default: auto — a process "
-                             "pool when --jobs > 1, serial otherwise; 'async' "
-                             "is the distributed asyncio worker backend)")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="worker count, only valid with --backend "
-                             "pool/async (default: --jobs)")
+                        help="execution backend (default: auto — async "
+                             "workers when --jobs > 1, serial otherwise; "
+                             "'async' runs --jobs worker subprocesses, "
+                             "multihost budgets live in --hosts)")
     parser.add_argument("--cache-dir", default=None,
                         help="persistent experiment result store "
                              "(default: $REPRO_CACHE_DIR if set)")
@@ -333,10 +325,10 @@ def _add_orchestrator_arguments(parser: argparse.ArgumentParser) -> None:
                              "hostname for SSH hosts)")
     parser.add_argument("--batch", default=None,
                         help="specs per dispatch: N, 'adaptive' or "
-                             "'adaptive:N' (async/multihost send protocol-v3 "
-                             "run_batch frames, amortising per-spec "
-                             "round-trips; pool maps it onto chunksize; "
-                             "default: one spec at a time)")
+                             "'adaptive:N' (async/multihost pack them into "
+                             "one run_batch frame, amortising per-spec "
+                             "round-trips; serial ignores it; default: one "
+                             "spec at a time)")
     parser.add_argument("--profile", default=None, metavar="FILE",
                         help="run the simulation phase under cProfile and "
                              "dump binary stats to FILE (default: "

@@ -10,22 +10,21 @@ describes, schedules, executes and caches those experiments:
   JSON-serialisable experiment descriptor with a stable content key,
   :class:`ExperimentResult`, its serialisable outcome, and
   :class:`ExperimentFailure`, the serialisable record of a spec that raised,
-* :mod:`repro.exp.backends` — pluggable execution backends
-  (:class:`SerialBackend`, :class:`ProcessPoolBackend`) and the
-  :func:`run_experiments` driver with automatic baseline deduplication and
-  per-spec failure isolation,
-* :mod:`repro.exp.distributed` — :class:`AsyncWorkerBackend`, an asyncio
-  supervisor dispatching specs to ``repro.exp.worker`` subprocesses over a
-  length-prefixed JSON frame protocol (:mod:`repro.exp.protocol`), with
-  heartbeats, bounded retry/requeue on worker death, graceful cancellation
-  and batched dispatch (``batch=``: several specs per protocol-v3
-  ``run_batch`` frame, per-spec result acks, adaptive sizing via
-  :class:`AdaptiveBatchSizer`),
+* :mod:`repro.exp.backends` — :class:`SerialBackend`, the backend-by-name
+  factory :func:`make_named_backend` and the :func:`run_experiments` driver
+  with automatic baseline deduplication and per-spec failure isolation,
+* :mod:`repro.exp.distributed` — :class:`AsyncWorkerBackend`, the parallel
+  backend: an asyncio supervisor dispatching specs to ``repro.exp.worker``
+  subprocesses over a length-prefixed JSON frame protocol
+  (:mod:`repro.exp.protocol`), with heartbeats, bounded retry/requeue on
+  worker death, graceful cancellation and batched dispatch (``batch=``:
+  several specs per ``run_batch`` frame, per-spec result acks, adaptive
+  sizing via :class:`AdaptiveBatchSizer`),
 * :mod:`repro.exp.hosts` — :class:`MultiHostBackend`, the multi-host
   transport on top of it: a TCP listener (:class:`HostPool`) accepting
   connect-back workers launched locally or via SSH, per-host worker
-  budgets, host-level quarantine of crash-looping machines and negotiated
-  zlib frame compression for high-latency links,
+  budgets, host-level quarantine of crash-looping machines and zlib frame
+  compression for high-latency links,
 * :mod:`repro.exp.store` — the persistent on-disk :class:`ResultStore`
   (content-hash keyed, shard-per-key-prefix, advisory file locking for
   concurrent multi-process writers; pluggable directory/object-store
@@ -53,9 +52,7 @@ from repro.exp.backends import (
     BACKEND_NAMES,
     ExecutionBackend,
     ExperimentExecutionError,
-    ProcessPoolBackend,
     SerialBackend,
-    make_backend,
     make_named_backend,
     run_experiments,
 )
@@ -91,7 +88,6 @@ __all__ = [
     "ExperimentExecutionError",
     "ExecutionBackend",
     "SerialBackend",
-    "ProcessPoolBackend",
     "AsyncWorkerBackend",
     "AdaptiveBatchSizer",
     "parse_batch",
@@ -101,7 +97,6 @@ __all__ = [
     "parse_hosts",
     "parse_listen",
     "BACKEND_NAMES",
-    "make_backend",
     "make_named_backend",
     "run_experiments",
     "run_spec",

@@ -18,10 +18,12 @@ with ``on_error="record"``, returns ``None`` at the failed positions.
 Three backends ship with the repository:
 
 * :class:`SerialBackend` — in-process, one spec after another,
-* :class:`ProcessPoolBackend` — ``concurrent.futures`` process pool,
-* :class:`~repro.exp.distributed.AsyncWorkerBackend` — asyncio supervisor
-  over worker subprocesses speaking the length-prefixed JSON protocol, with
-  heartbeats, retry/requeue on worker death and graceful cancellation.
+* :class:`~repro.exp.distributed.AsyncWorkerBackend` — the one parallel
+  single-host backend: an asyncio supervisor over worker subprocesses
+  speaking the length-prefixed JSON protocol, with heartbeats,
+  retry/requeue on worker death and graceful cancellation,
+* :class:`~repro.exp.hosts.MultiHostBackend` — the same supervisor over
+  connect-back workers on many machines.
 
 All three are result-identical: the same spec grid produces bit-identical
 results (and byte-identical store entries) regardless of the backend, worker
@@ -30,9 +32,7 @@ count or completion order.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
-from typing import Callable, Dict, List, Optional, Protocol, Sequence, Union
+from typing import Dict, List, Optional, Protocol, Sequence, Union
 
 from repro.exp.runner import run_spec
 from repro.exp.spec import ExperimentFailure, ExperimentResult, ExperimentSpec
@@ -44,7 +44,7 @@ Store = Union[ResultStore, MemoryResultStore]
 Outcome = Union[ExperimentResult, ExperimentFailure]
 
 #: Backend names accepted by :func:`make_named_backend` and the CLI.
-BACKEND_NAMES = ("auto", "serial", "pool", "async", "multihost")
+BACKEND_NAMES = ("auto", "serial", "async", "multihost")
 
 
 class ExperimentExecutionError(RuntimeError):
@@ -61,10 +61,7 @@ class ExperimentExecutionError(RuntimeError):
 
 
 def run_spec_outcome(spec: ExperimentSpec) -> Outcome:
-    """Execute one spec, condensing any exception into a failure record.
-
-    Module-level so process-pool workers can pickle it by reference.
-    """
+    """Execute one spec, condensing any exception into a failure record."""
     try:
         return run_spec(spec)
     except Exception as error:
@@ -76,24 +73,6 @@ def _raise_on_failure(outcomes: Sequence[Outcome]) -> List[ExperimentResult]:
     if failures:
         raise ExperimentExecutionError(failures)
     return list(outcomes)
-
-
-def map_unique(
-    specs: Sequence[ExperimentSpec],
-    runner: "Callable[[List[ExperimentSpec]], Sequence[Outcome]]",
-) -> List[Outcome]:
-    """Run ``runner`` over the unique specs, remapped to submission positions.
-
-    The defensive dedup shared by the parallel backends: run_experiments
-    already submits unique specs, but a directly-driven backend must still
-    simulate shared baselines once.
-    """
-    unique: Dict[str, ExperimentSpec] = {}
-    for spec in specs:
-        unique.setdefault(spec.content_key(), spec)
-    outcomes = runner(list(unique.values()))
-    by_key = dict(zip(unique.keys(), outcomes))
-    return [by_key[spec.content_key()] for spec in specs]
 
 
 class ExecutionBackend(Protocol):
@@ -115,68 +94,6 @@ class SerialBackend:
         return _raise_on_failure(self.run_outcomes(specs))
 
 
-class ProcessPoolBackend:
-    """Shards experiments across worker processes.
-
-    Each spec is one unit of work; ``concurrent.futures`` maps them over the
-    pool and returns results in submission order, so the output is
-    deterministic and identical to :class:`SerialBackend` regardless of the
-    worker count or completion order.  Specs are self-contained (workers
-    regenerate traces from the spec), so nothing but the spec crosses the
-    process boundary on the way in.
-
-    Parameters
-    ----------
-    max_workers:
-        Size of the process pool; defaults to the host's CPU count.
-    chunksize:
-        Number of specs handed to a worker per dispatch; larger chunks
-        amortise IPC for big grids of small experiments.  Per batch the
-        effective chunk is additionally capped at the workers' fair share
-        of the specs, so a large chunksize cannot serialise a small grid
-        onto a fraction of the pool.
-    """
-
-    def __init__(self, max_workers: Optional[int] = None, chunksize: int = 1) -> None:
-        if max_workers is not None and max_workers < 1:
-            raise ValueError("max_workers must be >= 1")
-        if chunksize < 1:
-            raise ValueError("chunksize must be >= 1")
-        self.max_workers = max_workers
-        self.chunksize = chunksize
-
-    def run_outcomes(self, specs: Sequence[ExperimentSpec]) -> List[Outcome]:
-        """Per-spec outcomes; a raising spec does not poison the pool batch."""
-        if not specs:
-            return []
-
-        def runner(unique_specs: List[ExperimentSpec]) -> List[Outcome]:
-            workers = self.max_workers or os.cpu_count() or 1
-            share = -(-len(unique_specs) // workers)  # ceil division
-            chunksize = max(1, min(self.chunksize, share))
-            with ProcessPoolExecutor(max_workers=self.max_workers) as pool:
-                return list(
-                    pool.map(run_spec_outcome, unique_specs,
-                             chunksize=chunksize)
-                )
-
-        return map_unique(specs, runner)
-
-    def run(self, specs: Sequence[ExperimentSpec]) -> List[ExperimentResult]:
-        return _raise_on_failure(self.run_outcomes(specs))
-
-
-def make_backend(jobs: Optional[int], chunksize: int = 1) -> ExecutionBackend:
-    """Backend for ``jobs`` parallel workers (``None``/``0``/``1`` = serial).
-
-    ``chunksize`` is forwarded to the pool (specs per dispatch); it has no
-    meaning for the serial fallback.
-    """
-    if jobs is None or jobs <= 1:
-        return SerialBackend()
-    return ProcessPoolBackend(max_workers=jobs, chunksize=chunksize)
-
-
 def make_named_backend(
     name: str,
     workers: Optional[int] = None,
@@ -186,12 +103,11 @@ def make_named_backend(
     connect_host: Optional[str] = None,
     batch: Union[None, int, str] = None,
 ) -> ExecutionBackend:
-    """Backend selected by name: ``auto``, ``serial``, ``pool``, ``async``
-    or ``multihost``.
+    """Backend selected by name: ``auto``, ``serial``, ``async`` or
+    ``multihost``.
 
-    ``auto`` preserves the historical ``--jobs`` semantics (a pool when
-    ``workers`` > 1, serial otherwise) — unless ``hosts`` is given, which
-    selects ``multihost``.  ``async`` builds an
+    ``auto`` is ``multihost`` when ``hosts`` is given, ``async`` when
+    ``workers`` > 1 and ``serial`` otherwise.  ``async`` builds an
     :class:`~repro.exp.distributed.AsyncWorkerBackend`; ``multihost`` builds
     a :class:`~repro.exp.hosts.MultiHostBackend` from the ``hosts`` budget
     string (``"host1:4,host2:8"``) and the optional ``listen`` bind address
@@ -200,18 +116,19 @@ def make_named_backend(
     streamed into it as they finish (and survive a cancelled run).
 
     ``batch`` (``N``, ``"adaptive"`` or ``"adaptive:N"``) bounds how many
-    specs one dispatch carries.  For ``async``/``multihost`` it is the
-    protocol-level ``run_batch`` frame size (adaptive sizing grows it from 1
-    as specs prove cheap); for ``pool`` the cap maps onto the executor's
-    ``chunksize`` (its native amortisation knob, with no adaptivity); a
-    serial backend executes in-process, where there is no round-trip to
-    amortise, so the knob is accepted and ignored.
+    specs one dispatch carries: the ``run_batch`` frame size of
+    ``async``/``multihost`` (adaptive sizing grows it from 1 as specs prove
+    cheap).  A serial backend executes in-process, where there is no
+    round-trip to amortise, so the knob is accepted and ignored.
     """
     from repro.exp.distributed import parse_batch
 
-    batch_cap, batch_adaptive = parse_batch(batch)  # validate for every name
-    if name == "auto" and hosts:
-        name = "multihost"
+    parse_batch(batch)  # validate for every name
+    if name == "auto":
+        if hosts:
+            name = "multihost"
+        else:
+            name = "async" if workers is not None and workers > 1 else "serial"
     if name != "multihost" and (hosts or listen or connect_host):
         # Silently dropping a host list would run single-host while the
         # caller (e.g. REPRO_BENCH_BACKEND=async REPRO_BENCH_HOSTS=...)
@@ -220,12 +137,8 @@ def make_named_backend(
             "hosts/listen/connect_host only apply to the multihost backend "
             f"(got backend {name!r})"
         )
-    if name == "auto":
-        return make_backend(workers, chunksize=batch_cap)
     if name == "serial":
         return SerialBackend()  # in-process: no round-trip, batch is moot
-    if name == "pool":
-        return ProcessPoolBackend(max_workers=workers, chunksize=batch_cap)
     streaming = store if isinstance(store, ResultStore) else None
     if name == "async":
         from repro.exp.distributed import AsyncWorkerBackend

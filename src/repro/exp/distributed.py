@@ -39,7 +39,7 @@ At cluster scale the sampled simulations themselves are cheap — TaskPoint's
 whole premise — so the per-spec dispatch round-trip becomes the bottleneck.
 ``batch=`` bounds how many specs one dispatch frame may carry: a slot drains
 up to that many jobs from the queue (never blocking to fill a batch) and
-ships them in a single protocol-v3 ``run_batch`` frame; the worker answers
+ships them in a single ``run_batch`` frame; the worker answers
 each with its own ``result``/``error`` frame, in order, as it completes.
 Those per-spec answers double as acknowledgements: when a worker dies
 mid-batch, exactly the unacknowledged jobs are requeued and the acknowledged
@@ -47,10 +47,8 @@ ones keep their outcomes, so nothing runs twice and the result store stays
 byte-identical to a serial run.  ``batch="adaptive"`` starts every batch at
 one spec and grows toward a cap based on the observed per-spec wall-time
 (:class:`AdaptiveBatchSizer`), so sub-second specs amortise round-trips
-while long specs keep one-spec retry granularity.  Workers that never
-advertised the ``batch`` hello capability (protocol <= 2 peers) are
-dispatched one ``run`` frame per spec, pipelined, so mixed fleets keep
-working.
+while long specs keep one-spec retry granularity.  Unbatched dispatch is a
+one-job ``run_batch`` frame; there is no other job frame.
 
 Determinism: results are collected by job index and returned in submission
 order, and the workers funnel through the same
@@ -81,7 +79,7 @@ from typing import (
 )
 
 from repro.exp import protocol
-from repro.exp.backends import Outcome, Store, _raise_on_failure, map_unique
+from repro.exp.backends import Outcome, Store, _raise_on_failure
 from repro.exp.spec import ExperimentFailure, ExperimentResult, ExperimentSpec
 
 
@@ -243,7 +241,6 @@ class _Worker:
         host: Optional[str] = None,
         compress_out: bool = False,
         handshaked: bool = False,
-        hello: Optional[Dict[str, object]] = None,
     ) -> None:
         self.reader = reader
         self.writer = writer
@@ -251,29 +248,16 @@ class _Worker:
         self._kill_process = kill_process
         self._wait_process = wait_process
         self.host = host
-        #: Whether frames *to* this worker may be compressed (negotiated).
+        #: Whether frames *to* this worker may be compressed (TCP only).
         self.compress_out = compress_out
         self.alive = True
         self.spawned_at = asyncio.get_running_loop().time()
         self.last_seen = self.spawned_at
         self.handshaked = handshaked  # True once any frame (hello) arrived
-        #: The worker's ``hello`` frame (capabilities); set at construction
-        #: for connect-back workers (the acceptor consumed it) and by the
-        #: reader for pipe workers.  ``hello_seen`` is also set when the
-        #: worker dies hello-less, so nobody waits on a corpse.
-        self.hello: Dict[str, object] = dict(hello) if hello else {}
-        self.hello_seen = asyncio.Event()
-        if hello is not None:
-            self.hello_seen.set()
         self.pending: Dict[int, "asyncio.Future[Outcome]"] = {}
         self.completed = 0
         self.reader_task: Optional["asyncio.Task"] = None
         self.monitor_task: Optional["asyncio.Task"] = None
-
-    @property
-    def supports_batch(self) -> bool:
-        """Whether this worker's hello advertised ``run_batch`` support."""
-        return bool(self.hello.get("batch"))
 
     @classmethod
     def from_process(cls, proc: "asyncio.subprocess.Process") -> "_Worker":
@@ -295,15 +279,13 @@ class _Worker:
         kill_process: Callable[[], None],
         wait_process: Callable[[], Awaitable[object]],
         host: str,
-        compress_out: bool = False,
-        hello: Optional[Dict[str, object]] = None,
     ) -> "_Worker":
         """Worker over an accepted connect-back TCP stream pair.
 
-        The hello frame was already consumed by the acceptor (and is passed
-        in here, carrying the worker's capabilities), so the worker starts
-        handshaked: heartbeat staleness applies immediately instead of the
-        startup grace.
+        The hello frame was already consumed (and checked) by the acceptor,
+        so the worker starts handshaked: heartbeat staleness applies
+        immediately instead of the startup grace.  Frames to it may be
+        compressed, as the worker's own frames are.
         """
         return cls(
             reader=reader,
@@ -312,9 +294,8 @@ class _Worker:
             kill_process=kill_process,
             wait_process=wait_process,
             host=host,
-            compress_out=compress_out,
+            compress_out=True,
             handshaked=True,
-            hello=hello if hello is not None else {},
         )
 
     # ------------------------------------------------------------------
@@ -389,7 +370,7 @@ class AsyncWorkerBackend:
 
     The backend is synchronous to its callers (it owns its event loop via
     ``asyncio.run``), so it drops into :func:`repro.exp.run_experiments`
-    exactly like the serial and pool backends.
+    exactly like the serial backend.
     """
 
     def __init__(
@@ -451,16 +432,19 @@ class AsyncWorkerBackend:
                 "backend is running as a persistent service; "
                 "submit jobs through its queue instead of run_outcomes()"
             )
-        if not specs:
+        # run_experiments already submits unique specs, but a directly
+        # driven backend must still simulate shared baselines once.
+        unique: Dict[str, ExperimentSpec] = {}
+        for spec in specs:
+            unique.setdefault(spec.content_key(), spec)
+        if not unique:
             return []
-
-        def runner(unique_specs: List[ExperimentSpec]) -> List[Outcome]:
-            try:
-                return asyncio.run(self._supervise(unique_specs))
-            finally:
-                self._kill_leftovers()
-
-        return map_unique(specs, runner)
+        try:
+            outcomes = asyncio.run(self._supervise(list(unique.values())))
+        finally:
+            self._kill_leftovers()
+        by_key = dict(zip(unique, outcomes))
+        return [by_key[spec.content_key()] for spec in specs]
 
     def run(self, specs: Sequence[ExperimentSpec]) -> List[ExperimentResult]:
         """Execute ``specs``; raises if any spec ultimately failed."""
@@ -516,8 +500,14 @@ class AsyncWorkerBackend:
                 worker.handshaked = True
                 kind = message.get("type")
                 if kind == "hello":
-                    worker.hello = message
-                    worker.hello_seen.set()
+                    try:
+                        protocol.check_hello(message)
+                    except protocol.ProtocolError:
+                        # A worker of another version is alive: kill and
+                        # reap it before its jobs requeue.
+                        worker.kill()
+                        await worker.wait()
+                        raise
                 elif kind in ("result", "error"):
                     future = worker.pending.get(message.get("job"))
                     if future is not None and not future.done():
@@ -529,7 +519,7 @@ class AsyncWorkerBackend:
                             future.set_result(
                                 ExperimentFailure.from_dict(message["error"])
                             )
-                # hello/pong only refresh last_seen, handled above
+                # pong only refreshes last_seen, handled above
         except asyncio.CancelledError:
             pass  # supervisor-initiated shutdown; it owns process cleanup
         except (
@@ -549,7 +539,6 @@ class AsyncWorkerBackend:
             worker.kill()
         finally:
             self._release_worker(worker)
-            worker.hello_seen.set()  # a dead worker's capabilities are moot
             for future in list(worker.pending.values()):
                 if not future.done():
                     future.set_exception(
@@ -617,28 +606,16 @@ class AsyncWorkerBackend:
     ) -> "Tuple[List[_Job], bool]":
         """Dispatch ``jobs`` to one live worker; ``(died_jobs, any_completed)``.
 
-        A multi-job dispatch goes out as a single ``run_batch`` frame when
-        the worker's hello advertised the capability, and as pipelined
-        per-spec ``run`` frames otherwise (old peers answer those in order
-        just the same).  Either way the worker's per-spec ``result``/
-        ``error`` frames are the acknowledgements, and each job is
+        The jobs go out as one ``run_batch`` frame, and the worker's per-spec
+        ``result``/``error`` frames are the acknowledgements: each job is
         ``finish``\\ ed — persisted, when a streaming store is attached —
-        *the moment its answer arrives*, not when the batch completes: a
+        *the moment its answer arrives*, not when the batch completes.  A
         cancellation (SIGINT) mid-batch therefore keeps every acknowledged
         result, exactly as unbatched dispatch would.  Jobs whose answer
         never arrives before the worker dies are returned for the caller to
         requeue, in dispatch order (the first was the one executing).
         """
         loop = asyncio.get_running_loop()
-        if len(jobs) > 1 and not worker.hello_seen.is_set():
-            # The framing choice needs the worker's capabilities.  A healthy
-            # worker's hello is its very first frame, so this wait is brief;
-            # on timeout fall back to per-spec frames, which any peer
-            # understands (and a dead worker fails the sends below).
-            try:
-                await asyncio.wait_for(worker.hello_seen.wait(), _STARTUP_GRACE)
-            except asyncio.TimeoutError:
-                pass
         futures: "List[asyncio.Future[Outcome]]" = []
         for job in jobs:
             future: "asyncio.Future[Outcome]" = loop.create_future()
@@ -649,24 +626,16 @@ class AsyncWorkerBackend:
         started = loop.time()
         try:
             try:
-                if len(jobs) > 1 and worker.supports_batch:
-                    await worker.send({
-                        "type": "run_batch",
-                        "jobs": [
-                            {"job": job.index, "spec": job.spec.to_dict()}
-                            for job in jobs
-                        ],
-                    })
-                    self._count("dispatch_frames")
+                await worker.send({
+                    "type": "run_batch",
+                    "jobs": [
+                        {"job": job.index, "spec": job.spec.to_dict()}
+                        for job in jobs
+                    ],
+                })
+                self._count("dispatch_frames")
+                if len(jobs) > 1:
                     self._count("batch_frames")
-                else:
-                    for job in jobs:
-                        await worker.send({
-                            "type": "run",
-                            "job": job.index,
-                            "spec": job.spec.to_dict(),
-                        })
-                        self._count("dispatch_frames")
                 self.stats["max_batch"] = max(
                     self.stats.get("max_batch", 0), len(jobs)
                 )

@@ -8,7 +8,9 @@ cluster supervisor.  The moving parts:
   matches each inbound connection to the launch that created it by the
   token echoed in the worker's ``hello`` frame.  Connections that send no
   (or a malformed, truncated or oversized) hello, or an unknown token, are
-  dropped — a rogue peer cannot occupy a worker slot.
+  dropped — a rogue peer cannot occupy a worker slot.  A matched worker whose
+  hello announces another protocol version fails its launch at once
+  (:class:`~repro.exp.distributed.SpawnError` naming both versions).
 * **Launchers** — :class:`LocalLauncher` starts connect-back workers as
   local subprocesses (so the whole transport is testable without SSH);
   :class:`SSHLauncher` starts them as ``ssh host python -m
@@ -24,10 +26,9 @@ cluster supervisor.  The moving parts:
   consecutive deaths with no completed job in between) is **quarantined** —
   its slots retire, requeueing any spec in hand, and the healthy hosts
   drain the queue.
-* **Compression** — the worker advertises zlib support in its ``hello`` and
-  the supervisor's ``hello_ack`` answers with the negotiated setting
-  (``compress=`` on the backend), so spec and result frames shrink on
-  high-latency links while pings stay raw and old workers keep working.
+* **Compression** — connect-back links may be slow networks, so spec and
+  result frames in both directions are zlib-compressed when that pays;
+  pings stay raw.  Nothing is negotiated: the transport decides.
 
 Results are byte-identical to a serial run at the :class:`ResultStore`
 level: workers funnel through the same :func:`repro.exp.runner.run_spec`,
@@ -375,9 +376,6 @@ class MultiHostBackend(AsyncWorkerBackend):
     connect_host:
         Address workers dial back to.  Defaults to ``127.0.0.1`` for local
         hosts and this machine's hostname for SSH hosts.
-    compress:
-        Negotiate zlib frame compression with each worker (on by default;
-        frames below the protocol's size floor always stay raw).
     host_quarantine_retries:
         Consecutive worker deaths (without a completed job in between) a
         *host* tolerates before it is quarantined; defaults to
@@ -396,7 +394,6 @@ class MultiHostBackend(AsyncWorkerBackend):
         listen_port: int = 0,
         connect_host: Optional[str] = None,
         connect_timeout: float = DEFAULT_CONNECT_TIMEOUT,
-        compress: bool = True,
         host_quarantine_retries: Optional[int] = None,
         ssh_command: Sequence[str] = ("ssh", "-o", "BatchMode=yes"),
         remote_python: str = "python3",
@@ -410,7 +407,6 @@ class MultiHostBackend(AsyncWorkerBackend):
         self.listen_port = listen_port
         self.connect_host = connect_host
         self.connect_timeout = connect_timeout
-        self.compress = compress
         self.host_quarantine_retries = (
             host_quarantine_retries
             if host_quarantine_retries is not None
@@ -545,6 +541,7 @@ class MultiHostBackend(AsyncWorkerBackend):
             reader, writer, hello = await asyncio.wait_for(
                 future, self.connect_timeout
             )
+            protocol.check_hello(hello)
         except BaseException as exc:
             self._pool.forget(token)
             try:
@@ -555,24 +552,10 @@ class MultiHostBackend(AsyncWorkerBackend):
                 raise SpawnError(
                     f"worker launched on host {host.name!r} never connected back"
                 ) from exc
+            if isinstance(exc, protocol.ProtocolError):
+                writer.close()
+                raise SpawnError(f"worker on host {host.name!r}: {exc}") from exc
             raise  # cancellation during shutdown must propagate
-
-        compress_frames = self.compress and bool(hello.get("compress"))
-        try:
-            writer.write(
-                protocol.encode_frame(
-                    {"type": "hello_ack", "compress": compress_frames}
-                )
-            )
-            await writer.drain()
-        except (OSError, ConnectionResetError) as exc:
-            try:
-                handle.kill()
-            except (OSError, ProcessLookupError):
-                pass
-            raise SpawnError(
-                f"worker on host {host.name!r} hung up during negotiation"
-            ) from exc
 
         def kill_process(handle=handle, writer=writer):
             # Close the channel first so the remote end sees EOF even when
@@ -590,8 +573,6 @@ class MultiHostBackend(AsyncWorkerBackend):
             kill_process=kill_process,
             wait_process=handle.wait,
             host=host.name,
-            compress_out=compress_frames,
-            hello=hello,
         )
         self._register_worker(worker)
         host.spawns += 1

@@ -16,63 +16,56 @@ remaining 31 bits are the on-wire payload length (well above
 both forms.  Encoders only compress when asked to (``compress=True``) *and*
 the payload is large enough to plausibly win
 (:data:`COMPRESS_MIN_BYTES`) *and* compression actually shrinks it —
-heartbeat pings therefore always travel uncompressed.  Whether a peer may be
-*sent* compressed frames is negotiated once at connection setup: the worker
-advertises ``"compress": true`` in its ``hello`` and the supervisor's
-``hello_ack`` answers with the negotiated setting, so a peer that predates
-this feature simply never receives a compressed frame.
+heartbeat pings therefore always travel uncompressed.  The transport decides
+who asks: a ``--connect`` worker and the supervisor's frames to it may
+compress (TCP links can be slow), a stdio worker never does (its link is a
+local pipe, where compression never pays).  Nothing is negotiated.
 
 Batching
 --------
-Protocol version 3 adds *batched dispatch*: a ``run_batch`` frame carries N
-jobs in one frame, and the worker answers each job with its own ``result`` or
-``error`` frame, in batch order, as it completes.  Those per-job answers
-double as **acknowledgements** — a supervisor whose worker dies mid-batch
-requeues exactly the jobs whose answer never arrived, so an acknowledged spec
-is never executed twice.  The capability is negotiated through the worker's
-``hello``: only a worker that advertised ``"batch": true`` is ever sent a
-``run_batch`` frame, and a version-2 peer simply keeps receiving one ``run``
-frame per spec.
+A ``run_batch`` frame carries N jobs, and the worker answers each job with
+its own ``result`` or ``error`` frame, in batch order, as it completes.
+Those per-job answers double as **acknowledgements** — a supervisor whose
+worker dies mid-batch requeues exactly the jobs whose answer never arrived,
+so an acknowledged spec is never executed twice.  Unbatched dispatch is
+simply a one-job ``run_batch``.
+
+Versioning
+----------
+Workers and supervisors ship from one source tree, so there is no
+capability negotiation: :func:`check_hello` rejects a worker whose ``hello``
+announces any other :data:`PROTOCOL_VERSION`, on every transport.
 
 Frame types
 -----------
 Supervisor to worker:
 
-* ``{"type": "run", "job": <int>, "spec": <ExperimentSpec.to_dict()>}`` —
-  execute one experiment; exactly one ``result``/``error`` frame answers it.
 * ``{"type": "run_batch", "jobs": [{"job": <int>, "spec": <...>}, ...]}`` —
-  execute N experiments in order; each is answered by its own
-  ``result``/``error`` frame (protocol >= 3, and only after the worker's
-  ``hello`` advertised ``"batch": true``).
+  execute N >= 1 experiments (``spec`` is ``ExperimentSpec.to_dict()``) in
+  order; each is answered by its own ``result``/``error`` frame.
 * ``{"type": "ping", "seq": <int>}`` — heartbeat probe; answered immediately
   by the worker's reader thread even while a simulation is running.
-* ``{"type": "hello_ack", "compress": <bool>}`` — answers a connect-back
-  worker's ``hello``; ``compress`` tells the worker whether it may compress
-  the frames it sends.  (Not sent on the stdio transport, where links are
-  local pipes and compression never pays.)
 * ``{"type": "shutdown"}`` — finish the current job (if any) and exit.
 
 Worker to supervisor:
 
-* ``{"type": "hello", "pid": <int>, "protocol": <int>, "compress": <bool>,
-  "batch": <bool>[, "token": <str>]}`` — sent once on startup.  The
-  ``token`` echoes ``--token`` and lets a multi-host supervisor match the
-  inbound TCP connection to the launch that created it; ``batch`` advertises
-  ``run_batch`` support (absent on version-2 peers, which therefore keep
-  being dispatched one spec per frame).
+* ``{"type": "hello", "pid": <int>, "protocol": <int>[, "token": <str>]}`` —
+  sent once on startup.  The ``token`` echoes ``--token`` and lets a
+  multi-host supervisor match the inbound TCP connection to the launch that
+  created it.
 * ``{"type": "result", "job": <int>, "result": <ExperimentResult.to_dict()>}``
 * ``{"type": "error", "job": <int>, "error": <ExperimentFailure.to_dict()>}``
   — the spec raised; the worker stays alive and takes the next job.
-* ``{"type": "pong", "seq": <int>}``
+* ``{"type": "pong", "seq": <int>, "memo": {...}}`` — ``memo`` carries the
+  worker's trace-memo counters.
 
-Service frames (protocol version 4)
------------------------------------
+Service frames
+--------------
 The same framing carries the client API of the persistent simulation
 service (:mod:`repro.serve`).  These frames flow between a *client* (the
 ``repro submit``/``status``/``watch``/``cancel`` subcommands, or
 :class:`repro.serve.ServiceClient`) and the *daemon* (``repro serve``) —
-never to workers, whose vocabulary above is unchanged; version 4 is
-therefore wire-compatible with version-3 workers.
+never to workers.
 
 Client to daemon:
 
@@ -129,15 +122,12 @@ from typing import BinaryIO, Dict, Optional
 
 #: Protocol version announced in the ``hello`` frame.  Bump on any
 #: incompatible change to the frame vocabulary above.  Version 2 added the
-#: compressed-frame header bit and the ``hello_ack`` negotiation (both
-#: backward compatible: uncompressed frames are unchanged on the wire).
-#: Version 3 added the ``run_batch`` frame and the ``batch`` hello
-#: capability (backward compatible: the frame is only sent to workers that
-#: advertised it).  Version 4 added the client/daemon service vocabulary
-#: (``submit``/``status``/``watch``/``cancel``/``stats`` and their answers)
-#: for :mod:`repro.serve`; the supervisor/worker vocabulary is untouched, so
-#: version-3 workers interoperate unchanged.
-PROTOCOL_VERSION = 4
+#: compressed-frame header bit, version 3 the ``run_batch`` frame and
+#: version 4 the client/daemon service vocabulary.  Version 5 dropped the
+#: single-spec ``run`` frame and all capability negotiation: compression
+#: follows the transport and a peer of any other version is rejected
+#: (:func:`check_hello`).
+PROTOCOL_VERSION = 5
 
 #: Upper bound on a single frame payload (compressed or decompressed); a
 #: frame header exceeding it means the stream is desynchronised (or hostile)
@@ -156,6 +146,16 @@ _HEADER = struct.Struct(">I")
 
 class ProtocolError(RuntimeError):
     """The byte stream does not contain a well-formed frame."""
+
+
+def check_hello(hello: Dict[str, object]) -> None:
+    """Raise :class:`ProtocolError` unless ``hello`` speaks this version."""
+    version = hello.get("protocol")
+    if version != PROTOCOL_VERSION:
+        raise ProtocolError(
+            f"worker speaks protocol {version}, "
+            f"supervisor speaks {PROTOCOL_VERSION}"
+        )
 
 
 def encode_frame(message: Dict[str, object], *, compress: bool = False) -> bytes:

@@ -1,9 +1,9 @@
 """Execution of a single :class:`~repro.exp.spec.ExperimentSpec`.
 
-This module is the one place that turns a spec into simulator calls.  Both
-execution backends (and the worker processes of the process-pool backend)
-funnel through :func:`run_spec`, so serial and parallel execution are
-guaranteed to run byte-identical experiments.
+This module is the one place that turns a spec into simulator calls.  The
+serial backend and every worker process of the parallel backends funnel
+through :func:`run_spec`, so serial and parallel execution are guaranteed to
+run byte-identical experiments.
 
 Trace generation is memoised per process: grids typically reuse the same
 (benchmark, scale, seed) trace across many thread counts and sampling

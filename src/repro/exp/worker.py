@@ -9,18 +9,17 @@ exponential backoff (``--connect-retries`` / ``--connect-backoff``), so
 workers launched before the supervisor's listener is up still join instead of
 dying on the first refused connection; ``--token`` is echoed in the ``hello``
 frame so a multi-host supervisor can match the inbound connection to the
-launch that created it.
+launch that created it.  A connect-back worker compresses the large frames
+it sends (results cross real networks); a stdio worker never does.
 
 Two threads cooperate:
 
 * the **reader thread** parses incoming frames: ``ping`` is answered with
   ``pong`` immediately — even while a simulation is running, so supervisor
   heartbeats measure process liveness rather than job length; each pong
-  carries the worker's trace-memo counters as a ``memo`` field —
-  ``hello_ack``
-  records whether the supervisor negotiated compressed frames, ``run`` jobs
-  (and the jobs of a ``run_batch`` frame, unpacked in order) are handed to
-  the main thread and ``shutdown``/EOF ends the process;
+  carries the worker's trace-memo counters as a ``memo`` field — the jobs
+  of a ``run_batch`` frame are unpacked in order and handed to the main
+  thread, and ``shutdown``/EOF ends the process;
 * the **main thread** executes jobs one at a time through
   :func:`repro.exp.runner.run_spec` (sharing its per-process trace memo, so a
   worker that receives many specs of one benchmark generates the trace once)
@@ -40,7 +39,7 @@ requeue path.  With mode ``always`` every worker holding a matching spec
 dies every time (the flag file is still touched, without exclusivity) — the
 crash-looping-host path that exercises quarantine.
 
-Three more test/benchmark-only hooks share that spirit:
+Two more test/benchmark-only hooks share that spirit:
 
 * ``REPRO_EXP_WORKER_EXECLOG=<path>`` appends one ``<content-key>`` line to
   the file whenever a spec *starts executing* (``O_APPEND``, so concurrent
@@ -49,10 +48,6 @@ Three more test/benchmark-only hooks share that spirit:
 * ``REPRO_EXP_WORKER_DELAY=<seconds>`` sleeps before every frame write and
   after every frame read — a simulated per-frame link latency, which is what
   makes round-trip amortisation measurable on a loopback pipe.
-* ``REPRO_EXP_WORKER_COMPAT=<version>`` caps the protocol version the worker
-  speaks: ``2`` makes it behave as a pre-batching peer (no ``batch``
-  capability in the hello, ``run_batch`` frames ignored), which is how the
-  negotiation-fallback tests fake an old worker without keeping one around.
 """
 
 from __future__ import annotations
@@ -80,9 +75,6 @@ EXEC_LOG_ENV = "REPRO_EXP_WORKER_EXECLOG"
 #: Test/benchmark-only simulated per-frame link latency (seconds).
 DELAY_ENV = "REPRO_EXP_WORKER_DELAY"
 
-#: Test-only protocol downgrade (fake an old peer); see the module docstring.
-COMPAT_ENV = "REPRO_EXP_WORKER_COMPAT"
-
 #: Default bounded-retry budget for ``--connect`` (first attempt excluded).
 DEFAULT_CONNECT_RETRIES = 12
 
@@ -93,19 +85,13 @@ _CONNECT_BACKOFF_CAP = 2.0
 
 
 class _FrameWriter:
-    """Serialises frame writes from the main and reader threads.
+    """Serialises frame writes from the main and reader threads."""
 
-    ``compress`` starts off (stdio links never negotiate compression) and is
-    flipped by the reader thread when a ``hello_ack`` grants it; a plain bool
-    assignment is atomic under the GIL, and frame ordering guarantees the ack
-    is processed before any job whose answer could be compressed.
-    """
-
-    def __init__(self, stream: BinaryIO, delay: float = 0.0) -> None:
+    def __init__(self, stream: BinaryIO, delay: float, compress: bool) -> None:
         self._stream = stream
         self._lock = threading.Lock()
         self._delay = delay
-        self.compress = False
+        self.compress = compress
 
     def send(self, message: Dict[str, object]) -> None:
         with self._lock:
@@ -120,16 +106,6 @@ def _frame_delay() -> float:
         return max(0.0, float(os.environ.get(DELAY_ENV, "") or 0.0))
     except ValueError:
         return 0.0
-
-
-def _protocol_version() -> int:
-    """Protocol version to speak (capped by the compat downgrade hook)."""
-    raw = os.environ.get(COMPAT_ENV)
-    try:
-        capped = int(raw) if raw else protocol.PROTOCOL_VERSION
-    except ValueError:
-        return protocol.PROTOCOL_VERSION
-    return min(max(capped, 1), protocol.PROTOCOL_VERSION)
 
 
 def _log_execution(spec_key: str) -> None:
@@ -168,19 +144,20 @@ def serve(
     reader_stream: BinaryIO,
     writer_stream: BinaryIO,
     token: Optional[str] = None,
+    compress: bool = False,
 ) -> None:
-    """Serve the worker protocol until ``shutdown`` or EOF."""
-    version = _protocol_version()
+    """Serve the worker protocol until ``shutdown`` or EOF.
+
+    ``compress`` lets the large frames this worker sends be zlib-compressed;
+    the connect-back transport turns it on, the stdio transport leaves it off.
+    """
     delay = _frame_delay()
-    out = _FrameWriter(writer_stream, delay=delay)
+    out = _FrameWriter(writer_stream, delay, compress)
     hello: Dict[str, object] = {
         "type": "hello",
         "pid": os.getpid(),
-        "protocol": version,
-        "compress": True,
+        "protocol": protocol.PROTOCOL_VERSION,
     }
-    if version >= 3:
-        hello["batch"] = True
     if token is not None:
         hello["token"] = token
     out.send(hello)
@@ -208,8 +185,7 @@ def serve(
                     # Heartbeat answers double as a status channel: the
                     # worker's trace-memo counters ride along, so a
                     # supervisor can observe cache behaviour (hit rate,
-                    # evictions) without a dedicated stats frame.  Old
-                    # supervisors ignore unknown pong keys.
+                    # evictions) without a dedicated stats frame.
                     out.send({
                         "type": "pong",
                         "seq": message.get("seq"),
@@ -218,24 +194,19 @@ def serve(
                 except OSError:
                     jobs.put(None)
                     return
-            elif kind == "run":
-                jobs.put(message)
-            elif kind == "run_batch" and version >= 3:
+            elif kind == "run_batch":
                 # One queue entry per job, in batch order; the main thread
                 # answers each with its own result/error frame, which is
                 # what lets the supervisor requeue only unacknowledged
                 # specs when this process dies mid-batch.
                 for entry in message.get("jobs") or []:
                     if isinstance(entry, dict):
-                        jobs.put({"job": entry.get("job"),
-                                  "spec": entry.get("spec")})
-            elif kind == "hello_ack":
-                out.compress = bool(message.get("compress"))
+                        jobs.put(entry)
             elif kind == "shutdown":
                 closing.set()
                 jobs.put(None)
                 return
-            # unknown frame types are ignored (forward compatibility)
+            # unknown frame types are ignored
 
     threading.Thread(target=read_loop, daemon=True).start()
     while True:
@@ -332,7 +303,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         with connection:
             with connection.makefile("rb") as reader_stream, \
                     connection.makefile("wb") as writer_stream:
-                serve(reader_stream, writer_stream, token=args.token)
+                serve(reader_stream, writer_stream, token=args.token,
+                      compress=True)
         return 0
 
     reader_stream = sys.stdin.buffer

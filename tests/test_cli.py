@@ -195,15 +195,26 @@ class TestCommands:
         assert main(["compare", "not-a-benchmark", "--scale", "0.01"]) == 2
         assert "error" in capsys.readouterr().err
 
-    def test_workers_requires_explicit_backend(self, capsys):
-        # --workers under the default auto backend is rejected instead of
-        # silently overriding --jobs.
-        code = main([
-            "compare", "swaptions", "--scale", "0.004", "--threads", "2",
-            "--policy", "lazy", "--workers", "4",
-        ])
-        assert code == 2
+    def test_orchestrator_rejects_workers_flag(self, capsys):
+        # --jobs is the one worker count of compare/grid/sweep; the old
+        # --workers spelling fails loudly instead of being ignored.
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "compare", "swaptions", "--scale", "0.004", "--threads", "2",
+                "--policy", "lazy", "--workers", "4",
+            ])
+        assert exc.value.code == 2
         assert "--workers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_must_be_positive(self, capsys, jobs):
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "compare", "swaptions", "--scale", "0.004", "--threads", "2",
+                "--policy", "lazy", "--jobs", jobs,
+            ])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
 
     def test_grid_profile_flag_dumps_stats(self, tmp_path, capsys):
         import pstats

@@ -16,10 +16,11 @@ from repro.exp import (
     ExperimentFailure,
     ExperimentResult,
     ExperimentSpec,
+    AsyncWorkerBackend,
     MemoryResultStore,
-    ProcessPoolBackend,
     ResultStore,
     SerialBackend,
+    make_named_backend,
     run_experiments,
     run_spec,
 )
@@ -35,6 +36,11 @@ def small_spec(benchmark="swaptions", threads=2, config=lazy_config(), **kwargs)
         benchmark=benchmark, num_threads=threads, scale=SCALE, trace_seed=1,
         config=config, **kwargs,
     )
+
+
+def pool_backend():
+    """The parallel worker pool ``auto`` picks for more than one worker."""
+    return make_named_backend("auto", workers=2)
 
 
 class CountingBackend:
@@ -218,7 +224,7 @@ class TestBackendEquivalence:
     def test_process_pool_matches_serial(self):
         specs = self.grid()
         serial = run_experiments(specs, backend=SerialBackend())
-        pooled = run_experiments(specs, backend=ProcessPoolBackend(max_workers=2))
+        pooled = run_experiments(specs, backend=pool_backend())
         assert len(serial) == len(pooled) == len(specs)
         for left, right in zip(serial, pooled):
             # Bit-identical cycles, costs and IPC samples regardless of the
@@ -240,21 +246,23 @@ class TestBackendEquivalence:
         spec_b = small_spec(config=periodic_config())
         results = run_experiments(
             [spec_a, spec_a.baseline(), spec_b, spec_b.baseline()],
-            backend=ProcessPoolBackend(max_workers=2),
+            backend=pool_backend(),
         )
         assert results[1] == results[3]  # one shared baseline result
 
     def test_validation(self):
+        assert isinstance(pool_backend(), AsyncWorkerBackend)
+        assert isinstance(make_named_backend("auto", workers=1), SerialBackend)
         with pytest.raises(ValueError):
-            ProcessPoolBackend(max_workers=0)
+            make_named_backend("async", workers=0)
         with pytest.raises(ValueError):
-            ProcessPoolBackend(chunksize=0)
+            make_named_backend("pool", workers=2)  # the name is gone
 
 
 class TestFailureIsolation:
     """A raising spec is reported per-spec; the rest of the batch finishes.
 
-    Regression for the latent ProcessPoolBackend gap: a spec whose workload
+    Regression for a former process-pool backend gap: a spec whose workload
     raised used to propagate out of ``pool.map`` and poison the whole batch.
     """
 
@@ -267,7 +275,7 @@ class TestFailureIsolation:
 
     @pytest.mark.parametrize("make_backend_under_test", [
         SerialBackend,
-        lambda: ProcessPoolBackend(max_workers=2),
+        pool_backend,
     ], ids=["serial", "pool"])
     def test_remaining_specs_finish(self, make_backend_under_test):
         backend = make_backend_under_test()
@@ -282,7 +290,7 @@ class TestFailureIsolation:
 
     @pytest.mark.parametrize("make_backend_under_test", [
         SerialBackend,
-        lambda: ProcessPoolBackend(max_workers=2),
+        pool_backend,
     ], ids=["serial", "pool"])
     def test_run_raises_aggregate_after_completion(self, make_backend_under_test):
         with pytest.raises(ExperimentExecutionError) as excinfo:
@@ -294,7 +302,7 @@ class TestFailureIsolation:
         store = ResultStore(tmp_path)
         specs = self.batch()
         results = run_experiments(
-            specs, backend=ProcessPoolBackend(max_workers=2), store=store,
+            specs, backend=pool_backend(), store=store,
             on_error="record",
         )
         assert results[1] is None
@@ -458,7 +466,7 @@ class TestResultStore:
 class TestCrossProcessDeterminism:
     """A spec must mean the same experiment in every process.
 
-    The persistent result store and the process-pool backend both rely on
+    The persistent result store and the worker-pool backends both rely on
     trace generation being deterministic in (benchmark, scale, seed) alone —
     in particular it must not depend on the per-process string-hash
     randomisation (PYTHONHASHSEED).

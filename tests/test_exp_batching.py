@@ -1,6 +1,6 @@
-"""Batched-dispatch harness: amortisation, partial-batch faults, negotiation.
+"""Batched-dispatch harness: amortisation, partial-batch faults, versioning.
 
-The headline suite for protocol-v3 ``run_batch`` dispatch.  Covers:
+The headline suite for ``run_batch`` dispatch.  Covers:
 
 * round-trip amortisation under a simulated per-frame link latency (the
   worker-side ``REPRO_EXP_WORKER_DELAY`` hook): batching measurably reduces
@@ -10,10 +10,9 @@ The headline suite for protocol-v3 ``run_batch`` dispatch.  Covers:
   execution-count probe), and the result store stays byte-identical to a
   serial run,
 * store byte-identity for batch sizes {1, 4, 16, adaptive} across the
-  serial/pool/async/multihost backends (parametrised + hypothesis grids),
-* negotiation fallback: a protocol-v2 peer (no ``batch`` capability in its
-  hello, faked via ``REPRO_EXP_WORKER_COMPAT=2``) keeps being dispatched one
-  spec per frame and still produces identical results,
+  serial/auto/async/multihost backends (parametrised + hypothesis grids),
+* protocol mismatch: a worker whose hello announces another protocol
+  version fails at once, on the connect-back and the stdio transport,
 * frame compression behaviour around the 512-byte threshold, and
 * the user-facing surfaces: ``make_named_backend(batch=...)``, the CLI
   ``--batch`` flag, ``scripts/dispatch_bench.py`` (which records
@@ -21,6 +20,7 @@ The headline suite for protocol-v3 ``run_batch`` dispatch.  Covers:
   argument handling.
 """
 
+import asyncio
 import io
 import json
 import pathlib
@@ -42,7 +42,6 @@ from repro.exp import (
     ExperimentFailure,
     ExperimentSpec,
     MultiHostBackend,
-    ProcessPoolBackend,
     ResultStore,
     SerialBackend,
     make_named_backend,
@@ -51,8 +50,8 @@ from repro.exp import (
     run_spec,
 )
 from repro.exp import protocol
-from repro.exp.distributed import DEFAULT_BATCH_CAP
-from repro.exp.worker import COMPAT_ENV, DELAY_ENV, EXEC_LOG_ENV, FAULT_ENV
+from repro.exp.distributed import DEFAULT_BATCH_CAP, SpawnError
+from repro.exp.worker import DELAY_ENV, EXEC_LOG_ENV, FAULT_ENV
 
 from exp_helpers import deterministic_fields, store_result_bytes
 
@@ -194,13 +193,10 @@ class TestMakeNamedBackendBatch:
             DEFAULT_BATCH_CAP, True
         )
 
-    def test_pool_maps_batch_onto_chunksize(self):
-        backend = make_named_backend("pool", workers=2, batch=4)
-        assert isinstance(backend, ProcessPoolBackend)
-        assert backend.chunksize == 4
+    def test_auto_passes_batch_to_async_workers(self):
         backend = make_named_backend("auto", workers=2, batch=8)
-        assert isinstance(backend, ProcessPoolBackend)
-        assert backend.chunksize == 8
+        assert isinstance(backend, AsyncWorkerBackend)
+        assert (backend.num_workers, backend.batch_cap) == (2, 8)
 
     def test_serial_accepts_and_ignores_batch(self):
         assert isinstance(
@@ -209,7 +205,7 @@ class TestMakeNamedBackendBatch:
         assert isinstance(make_named_backend("auto", batch=16), SerialBackend)
 
     def test_invalid_batch_rejected_for_every_name(self):
-        for name in ("serial", "pool", "async"):
+        for name in ("auto", "serial", "async"):
             with pytest.raises(ValueError):
                 make_named_backend(name, workers=2, batch="bogus")
         with pytest.raises(ValueError):
@@ -219,7 +215,7 @@ class TestMakeNamedBackendBatch:
 class TestBatchedDispatchProtocol:
     """Protocol-level run_batch behaviour against a real worker process."""
 
-    def test_hello_advertises_batch_and_run_batch_streams_answers(self):
+    def test_run_batch_streams_answers(self):
         specs = [small_spec(), small_spec(benchmark="vector-operation")]
         with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as server:
             server.bind(("127.0.0.1", 0))
@@ -238,8 +234,7 @@ class TestBatchedDispatchProtocol:
                         connection.makefile("wb") as writer:
                     hello = protocol.read_frame(reader)
                     assert hello["type"] == "hello"
-                    assert hello["protocol"] == protocol.PROTOCOL_VERSION >= 3
-                    assert hello["batch"] is True
+                    assert hello["protocol"] == protocol.PROTOCOL_VERSION
                     protocol.write_frame(writer, {
                         "type": "run_batch",
                         "jobs": [
@@ -528,47 +523,79 @@ class TestBatchedSigintStreaming:
             assert "result" in payload and "spec" in payload
 
 
-class TestNegotiationFallback:
-    def test_v2_peer_is_dispatched_spec_at_a_time(self):
-        # A worker capped at protocol 2 advertises no batch capability; the
-        # supervisor must fall back to one run frame per spec — pipelined,
-        # never a run_batch frame — and converge identically.
-        specs = unique_grid(6)
-        backend = fast_backend(
-            num_workers=1, batch=8, worker_env={COMPAT_ENV: "2"},
-        )
-        results = backend.run(specs)
-        assert backend.stats.get("batch_frames", 0) == 0
-        assert backend.stats["dispatch_frames"] == len(specs)
-        reference = SerialBackend().run(specs)
-        for left, right in zip(reference, results):
-            assert deterministic_fields(left) == deterministic_fields(right)
+#: Stands in for a protocol-4 stdio worker: it says hello, then reads its
+#: input to EOF without ever answering a job.
+OLD_STDIO_WORKER = """#!{python}
+import json, struct, sys
+hello = json.dumps({{"type": "hello", "pid": 0, "protocol": 4}}).encode()
+sys.stdout.buffer.write(struct.pack(">I", len(hello)) + hello)
+sys.stdout.buffer.flush()
+sys.stdin.buffer.read()
+"""
 
-    def test_v2_hello_omits_the_capability(self):
-        with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as server:
-            server.bind(("127.0.0.1", 0))
-            server.listen(1)
-            port = server.getsockname()[1]
-            worker = subprocess.Popen(
-                [sys.executable, "-m", "repro.exp.worker",
-                 "--connect", "127.0.0.1", str(port)],
-                env=subprocess_env(**{COMPAT_ENV: "2"}),
-            )
+
+class _OldConnectBackLauncher:
+    """Connects back as a launched worker would, but announces protocol 4."""
+
+    class Handle:
+        returncode = None
+
+        def __init__(self, writer):
+            self.writer = writer
+
+        def kill(self):
+            self.returncode = -9
+            self.writer.close()
+
+        async def wait(self):
+            return self.returncode
+
+    async def launch(self, *, connect_host, port, token, env=None):
+        _, writer = await asyncio.open_connection(connect_host, port)
+        writer.write(protocol.encode_frame(
+            {"type": "hello", "pid": 1, "protocol": 4, "token": token}
+        ))
+        await writer.drain()
+        return self.Handle(writer)
+
+
+class TestProtocolMismatch:
+    def test_connect_back_old_version_fails_spawn_at_once(self):
+        async def spawn_old_worker():
+            backend = MultiHostBackend("local0:1", connect_timeout=60.0)
+            await backend._startup()
+            host = backend._hosts[0]
+            host.launcher = _OldConnectBackLauncher()
+            started = time.monotonic()
             try:
-                server.settimeout(30.0)
-                connection, _ = server.accept()
-                with connection, \
-                        connection.makefile("rb") as reader, \
-                        connection.makefile("wb") as writer:
-                    hello = protocol.read_frame(reader)
-                    assert hello["protocol"] == 2
-                    assert "batch" not in hello
-                    protocol.write_frame(writer, {"type": "shutdown"})
-                assert worker.wait(timeout=30) == 0
+                with pytest.raises(SpawnError) as excinfo:
+                    await backend._spawn_host_worker(host)
             finally:
-                if worker.poll() is None:
-                    worker.kill()
-                    worker.wait()
+                await backend._teardown()
+            return str(excinfo.value), time.monotonic() - started
+
+        message, seconds = asyncio.run(spawn_old_worker())
+        assert "protocol 4" in message
+        assert f"supervisor speaks {protocol.PROTOCOL_VERSION}" in message
+        assert seconds < 10.0  # at once, not after the connect timeout
+
+    def test_stdio_old_version_is_killed(self, tmp_path):
+        fake = tmp_path / "old_worker"
+        fake.write_text(OLD_STDIO_WORKER.format(python=sys.executable))
+        fake.chmod(0o755)
+        backend = AsyncWorkerBackend(
+            num_workers=1, heartbeat_interval=30.0, max_retries=0,
+            spawn_retries=0, python=str(fake),
+        )
+        started = time.monotonic()
+        outcomes = backend.run_outcomes([small_spec()])
+        # Killed on its hello: long before the first heartbeat could.
+        assert time.monotonic() - started < 20.0
+        assert isinstance(outcomes[0], ExperimentFailure)
+        assert outcomes[0].error_type == "WorkerDied"
+        assert backend.stats["worker_deaths"] == 1
+        assert backend.stats.get("heartbeat_kills", 0) == 0
+        assert backend.active_pids() == []
 
 
 class TestCompressionThreshold:
@@ -636,7 +663,7 @@ class TestCliBatch:
 
         code = main([
             "compare", "swaptions", "--scale", "0.004", "--threads", "2",
-            "--policy", "lazy", "--backend", "async", "--workers", "2",
+            "--policy", "lazy", "--backend", "async", "--jobs", "2",
             "--batch", "4",
         ])
         assert code == 0
@@ -778,7 +805,7 @@ if HAVE_HYPOTHESIS:
                 specs.append(spec.baseline())
             backends = (
                 make_named_backend("serial", batch=batch),
-                make_named_backend("pool", workers=2, batch=batch),
+                make_named_backend("auto", workers=2, batch=batch),
                 fast_backend(batch=batch),
                 MultiHostBackend(
                     "local0:1,local1:1", heartbeat_interval=0.5, batch=batch,

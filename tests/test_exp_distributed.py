@@ -29,9 +29,9 @@ from repro.exp import (
     ExperimentExecutionError,
     ExperimentFailure,
     ExperimentSpec,
-    ProcessPoolBackend,
     ResultStore,
     SerialBackend,
+    make_named_backend,
     run_experiments,
     run_spec,
 )
@@ -307,7 +307,7 @@ class TestCliAsyncBackend:
 
         code = main([
             "compare", "swaptions", "--scale", "0.004", "--threads", "2",
-            "--policy", "lazy", "--backend", "async", "--workers", "2",
+            "--policy", "lazy", "--backend", "async", "--jobs", "2",
         ])
         assert code == 0
         assert "execution-time error" in capsys.readouterr().out
@@ -395,9 +395,10 @@ class TestWorkerTransport:
                     assert hello["type"] == "hello"
                     assert hello["protocol"] == protocol.PROTOCOL_VERSION
                     assert hello["pid"] == worker.pid
-                    protocol.write_frame(
-                        writer, {"type": "run", "job": 7, "spec": spec.to_dict()}
-                    )
+                    protocol.write_frame(writer, {
+                        "type": "run_batch",
+                        "jobs": [{"job": 7, "spec": spec.to_dict()}],
+                    })
                     message = protocol.read_frame(reader)
                     assert message["type"] == "result"
                     assert message["job"] == 7
@@ -433,10 +434,10 @@ class TestWorkerTransport:
                         connection.makefile("rb") as reader, \
                         connection.makefile("wb") as writer:
                     assert protocol.read_frame(reader)["type"] == "hello"
-                    protocol.write_frame(
-                        writer,
-                        {"type": "run", "job": 0, "spec": busy_spec.to_dict()},
-                    )
+                    protocol.write_frame(writer, {
+                        "type": "run_batch",
+                        "jobs": [{"job": 0, "spec": busy_spec.to_dict()}],
+                    })
                     time.sleep(0.2)  # the simulation is now running
                     protocol.write_frame(writer, {"type": "ping", "seq": 42})
                     message = protocol.read_frame(reader)
@@ -476,9 +477,10 @@ class TestWorkerTransport:
             )
             server.start()
             assert protocol.read_frame(reader)["type"] == "hello"
-            protocol.write_frame(
-                writer, {"type": "run", "job": 3, "spec": poison.to_dict()}
-            )
+            protocol.write_frame(writer, {
+                "type": "run_batch",
+                "jobs": [{"job": 3, "spec": poison.to_dict()}],
+            })
             message = protocol.read_frame(reader)
             protocol.write_frame(writer, {"type": "shutdown"})
             server.join(timeout=10)
@@ -495,9 +497,8 @@ class TestWorkerTransport:
 HASHSEED_SNIPPET = textwrap.dedent("""
     import hashlib, pathlib, tempfile
     from repro.core.config import lazy_config, periodic_config
-    from repro.exp import (AsyncWorkerBackend, ExperimentSpec,
-                           ProcessPoolBackend, ResultStore, SerialBackend,
-                           run_experiments)
+    from repro.exp import (AsyncWorkerBackend, ExperimentSpec, ResultStore,
+                           SerialBackend, make_named_backend, run_experiments)
 
     specs = []
     for benchmark in ("histogram", "swaptions"):
@@ -519,7 +520,7 @@ HASHSEED_SNIPPET = textwrap.dedent("""
     digests = []
     backends = (
         SerialBackend(),
-        ProcessPoolBackend(max_workers=2),
+        make_named_backend("auto", workers=2),
         AsyncWorkerBackend(num_workers=2, heartbeat_interval=0.5),
     )
     for backend in backends:
@@ -534,8 +535,9 @@ HASHSEED_SNIPPET = textwrap.dedent("""
 
 class TestCrossBackendDeterminism:
     def test_all_backends_identical_across_hash_seeds(self):
-        """Serial, pool and async-worker stores are byte-identical, and that
-        shared digest is independent of PYTHONHASHSEED."""
+        """Serial, auto (two workers) and async-worker stores are
+        byte-identical, and that shared digest is independent of
+        PYTHONHASHSEED."""
         digests = {}
         for hash_seed in ("1", "4242"):
             output = subprocess.run(
@@ -574,7 +576,7 @@ if HAVE_HYPOTHESIS:
                 specs.append(spec.baseline())
             backends = (
                 SerialBackend(),
-                ProcessPoolBackend(max_workers=2),
+                make_named_backend("auto", workers=2),
                 fast_backend(),
             )
             snapshots = []

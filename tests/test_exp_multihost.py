@@ -4,9 +4,10 @@ Covers :mod:`repro.exp.hosts` (the :class:`HostPool` listener, launchers and
 :class:`MultiHostBackend`), the compressed frame protocol and the worker's
 connect-back path: byte-exact store equivalence with the serial backend, a
 worker's TCP connection severed mid-spec with requeue convergence, truncated
-and oversized frame handling, compressed-versus-uncompressed hello
-negotiation, quarantine of a crash-looping host, connect retry with backoff,
-and a randomized-kill soak (``-m soak``, excluded from tier-1).
+and oversized frame handling, transport-decided compression (connect-back
+frames compressed, stdio frames raw), quarantine of a crash-looping host,
+connect retry with backoff, and a randomized-kill soak (``-m soak``, excluded
+from tier-1).
 """
 
 import asyncio
@@ -32,7 +33,6 @@ from repro.exp import (
     ExperimentSpec,
     HostSpec,
     MultiHostBackend,
-    ProcessPoolBackend,
     ResultStore,
     SerialBackend,
     make_named_backend,
@@ -103,7 +103,7 @@ def read_raw_frame(stream):
 
 class TestProtocolCompression:
     def test_large_frame_round_trips_compressed(self):
-        message = {"type": "run", "blob": "taskpoint " * 400}
+        message = {"type": "run_batch", "blob": "taskpoint " * 400}
         frame = protocol.encode_frame(message, compress=True)
         raw = protocol.encode_frame(message)
         assert len(frame) < len(raw)
@@ -224,7 +224,7 @@ class TestHostPool:
             reader, writer = await asyncio.open_connection("127.0.0.1", pool.port)
             writer.write(protocol.encode_frame(
                 {"type": "hello", "pid": 4242, "token": "tok-1",
-                 "protocol": protocol.PROTOCOL_VERSION, "compress": True}
+                 "protocol": protocol.PROTOCOL_VERSION}
             ))
             await writer.drain()
             _, server_writer, hello = await asyncio.wait_for(future, 10.0)
@@ -307,18 +307,50 @@ class TestHostPool:
 
 
 class TestWorkerNegotiation:
-    """Worker-side hello/hello_ack handshake over a real TCP connection."""
+    """The transport decides compression: TCP frames may shrink, pipes never.
 
-    def handshake(self, ack_compress):
+    There is no hello_ack any more: a `--connect` worker compresses large
+    results unasked, and a stdio worker (which no supervisor acks) never does.
+    """
+
+    @staticmethod
+    def exchange(reader, writer, spec):
+        """Hello, one-job run_batch, result; the result's compressed bit."""
+        compressed, hello = read_raw_frame(reader)
+        assert not compressed  # the hello is below the size floor
+        assert hello["type"] == "hello"
+        assert hello["protocol"] == protocol.PROTOCOL_VERSION
+        protocol.write_frame(writer, {
+            "type": "run_batch",
+            "jobs": [{"job": 3, "spec": spec.to_dict()}],
+        })
+        compressed, message = read_raw_frame(reader)
+        assert message["type"] == "result"
+        assert message["job"] == 3
+        remote = dict(message["result"])
+        remote.pop("wall_seconds")
+        assert remote == deterministic_fields(run_spec(spec))
+        protocol.write_frame(writer, {"type": "shutdown"})
+        return compressed
+
+    @staticmethod
+    def large_spec():
         spec = small_spec()
+        assert len(protocol.encode_frame(
+            {"type": "result", "job": 3, "result": run_spec(spec).to_dict()}
+        )) > protocol.COMPRESS_MIN_BYTES  # large enough to compress
+        return spec
+
+    def test_ack_enables_compressed_results(self):
+        # Over TCP (`--connect`) large results are compressed without an ack.
+        spec = self.large_spec()
         with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as server:
             server.bind(("127.0.0.1", 0))
             server.listen(1)
             port = server.getsockname()[1]
             worker = subprocess.Popen(
                 [sys.executable, "-m", "repro.exp.worker",
-                 "--connect", "127.0.0.1", str(port),
-                 "--token", "negotiate-1"],
+                 "--connect", "127.0.0.1", str(port)],
                 env=subprocess_env(),
             )
             try:
@@ -327,47 +359,28 @@ class TestWorkerNegotiation:
                 with connection, \
                         connection.makefile("rb") as reader, \
                         connection.makefile("wb") as writer:
-                    compressed, hello = read_raw_frame(reader)
-                    assert not compressed  # hello precedes any negotiation
-                    assert hello["type"] == "hello"
-                    assert hello["token"] == "negotiate-1"
-                    assert hello["compress"] is True
-                    assert hello["protocol"] == protocol.PROTOCOL_VERSION
-                    if ack_compress is not None:
-                        protocol.write_frame(
-                            writer,
-                            {"type": "hello_ack", "compress": ack_compress},
-                        )
-                    protocol.write_frame(
-                        writer,
-                        {"type": "run", "job": 3, "spec": spec.to_dict()},
-                        compress=bool(ack_compress),
-                    )
-                    compressed, message = read_raw_frame(reader)
-                    assert message["type"] == "result"
-                    assert message["job"] == 3
-                    local = deterministic_fields(run_spec(spec))
-                    remote = dict(message["result"])
-                    remote.pop("wall_seconds")
-                    assert remote == local
-                    protocol.write_frame(writer, {"type": "shutdown"})
-                    result_compressed = compressed
+                    assert self.exchange(reader, writer, spec) is True
                 assert worker.wait(timeout=30) == 0
-                return result_compressed
             finally:
                 if worker.poll() is None:
                     worker.kill()
                     worker.wait()
 
-    def test_ack_enables_compressed_results(self):
-        assert self.handshake(ack_compress=True) is True
-
-    def test_ack_can_decline_compression(self):
-        assert self.handshake(ack_compress=False) is False
-
     def test_no_ack_means_uncompressed(self):
         # A supervisor that never acks (the stdio path) gets raw frames.
-        assert self.handshake(ack_compress=None) is False
+        spec = self.large_spec()
+        worker = subprocess.Popen(
+            [sys.executable, "-m", "repro.exp.worker"],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=subprocess_env(),
+        )
+        try:
+            with worker.stdin, worker.stdout:
+                assert self.exchange(worker.stdout, worker.stdin, spec) is False
+            assert worker.wait(timeout=30) == 0
+        finally:
+            if worker.poll() is None:
+                worker.kill()
+                worker.wait()
 
 
 class TestConnectRetry:
@@ -439,16 +452,6 @@ class TestMultiHostEquivalence:
         assert serial_bytes  # the comparison is not vacuous
         assert serial_bytes == multihost_bytes
 
-    def test_compression_does_not_change_store_bytes(self, tmp_path):
-        specs = small_grid()
-        run_experiments(specs, backend=local_backend(compress=True),
-                        store=ResultStore(tmp_path / "compressed"))
-        run_experiments(specs, backend=local_backend(compress=False),
-                        store=ResultStore(tmp_path / "raw"))
-        compressed = store_result_bytes(tmp_path / "compressed")
-        assert compressed
-        assert compressed == store_result_bytes(tmp_path / "raw")
-
     def test_work_is_spread_across_hosts(self):
         backend = local_backend("local0:1,local1:1")
         backend.run(small_grid())
@@ -485,7 +488,7 @@ class TestCliMultiHost:
 
         code = main([
             "compare", "swaptions", "--scale", "0.004", "--threads", "2",
-            "--backend", "pool", "--hosts", "local0:1",
+            "--backend", "async", "--hosts", "local0:1",
         ])
         assert code == 2
         assert "--hosts requires" in capsys.readouterr().err
@@ -602,7 +605,7 @@ if HAVE_HYPOTHESIS:
                 specs.append(spec.baseline())
             backends = (
                 SerialBackend(),
-                ProcessPoolBackend(max_workers=2),
+                make_named_backend("auto", workers=2),
                 AsyncWorkerBackend(num_workers=2, heartbeat_interval=0.5),
                 local_backend(),
             )
