@@ -247,26 +247,19 @@ def build_execution_plan(
     ev_write_list = columns.event_is_write.tolist()
     coh_list = shared_write.tolist()
     eo_list = offsets.tolist()
-    event_ids = range(columns.num_events)
-    l1_block_events = [
-        tuple(
-            zip(
-                l1_set_list[start:end],
-                l1_tag_list[start:end],
-                ev_write_list[start:end],
-                coh_list[start:end],
-                event_ids[start:end],
-            )
-        )
-        for start, end in zip(eo_list[:-1], eo_list[1:])
-    ]
+    l1_events = tuple(
+        zip(l1_set_list, l1_tag_list, ev_write_list, coh_list, range(num_events))
+    )
     br_list = block_repeat.tolist()
-    record_blocks = [
-        tuple(
-            (l1_block_events[block], bd_list[block], br_list[block])
-            for block in range(bo_list[record], bo_list[record + 1])
+    block_entries = tuple(
+        zip(
+            [l1_events[start:end] for start, end in zip(eo_list[:-1], eo_list[1:])],
+            bd_list,
+            br_list,
         )
-        for record in range(num_records)
+    )
+    record_blocks = [
+        block_entries[start:end] for start, end in zip(bo_list[:-1], bo_list[1:])
     ]
 
     plan = ExecutionPlan(
@@ -398,25 +391,33 @@ class BatchedCoreExecutor:
             )
         # Invalidation targets of a shared-data write by core c: the private
         # levels of every *other* core, flattened for the coherence loop.
-        self._invalidate_targets: List[List[tuple]] = []
-        for core_id in range(memory_system.num_cores):
-            targets = []
-            for other_id in range(memory_system.num_cores):
-                if other_id == core_id:
-                    continue
-                view = memory_system.hierarchy(other_id)
-                for level, cache in enumerate(view.private_caches):
-                    targets.append(
-                        (cache._sets, cache.stats, self._ev_set[level], self._ev_tag[level])
-                    )
-            self._invalidate_targets.append(targets)
+        private_targets = [
+            [
+                (sets, stats, self._ev_set[level], self._ev_tag[level])
+                for level, (sets, stats) in enumerate(levels[: self._num_private])
+            ]
+            for levels in self._core_levels
+        ]
+        self._invalidate_targets: List[List[tuple]] = [
+            [
+                target
+                for other_id, targets in enumerate(private_targets)
+                if other_id != core_id
+                for target in targets
+            ]
+            for core_id in range(memory_system.num_cores)
+        ]
 
         # Specialised grouped walks for the two concrete hierarchy shapes
         # (see module docstring); the generic loop covers everything else.
+        # Held as plain functions: a bound method stored on the instance
+        # would be a reference cycle, leaving a released executor and its
+        # whole memory system to the cyclic collector.
+        self._walk = BatchedCoreExecutor._execute_many_generic
         if self._have_shared and self._num_private == 2 and self._num_levels == 3:
-            self.execute_many = self._execute_many_p2s1
+            self._walk = BatchedCoreExecutor._execute_many_p2s1
         elif self._have_shared and self._num_private == 1 and self._num_levels == 2:
-            self.execute_many = self._execute_many_p1s1
+            self._walk = BatchedCoreExecutor._execute_many_p1s1
 
     # ------------------------------------------------------------------
     def detail_events(self, index: int) -> int:
@@ -678,6 +679,10 @@ class BatchedCoreExecutor:
         The grouped-dispatch engine flushes whole deferred groups through
         this entry point when the vector kernel is not engaged.
         """
+        return self._walk(self, entries)
+
+    def _execute_many_generic(self, entries: Sequence[tuple]) -> List[Tuple[float, float]]:
+        """The grouped walk for any hierarchy shape (reference for the others)."""
         memory = self.memory_system
         interconnect = memory.interconnect
         dram = memory.dram

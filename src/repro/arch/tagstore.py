@@ -42,6 +42,7 @@ order by rank, so state evolution is bit-identical either way.
 
 from __future__ import annotations
 
+import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
 from time import perf_counter
@@ -76,7 +77,7 @@ class _SetViews(dict):
     never consulted.
     """
 
-    __slots__ = ("store", "base", "resident_count")
+    __slots__ = ("store", "base", "resident_count", "__weakref__")
 
     def __init__(self, store: Optional["LevelTagStore"], base: int) -> None:
         super().__init__()
@@ -139,7 +140,11 @@ class LevelTagStore:
     def __init__(self, num_sets: int, assoc: int) -> None:
         self.num_sets = num_sets
         self.assoc = assoc
-        self.views: List[_SetViews] = []
+        #: Weak references, so that views (which hold their store) and the
+        #: store form no reference cycle: a released memory system is freed
+        #: at once instead of waiting for the cyclic collector.  The caches
+        #: owning the views keep them alive for as long as they are used.
+        self.views: List["weakref.ref[_SetViews]"] = []
         self.tags: Optional[np.ndarray] = None
         self.dirty: Optional[np.ndarray] = None
         self.owner: Optional[np.ndarray] = None
@@ -167,7 +172,7 @@ class LevelTagStore:
         if self.resident is not None:
             raise RuntimeError("cannot attach views after plane allocation")
         view = _SetViews(self, len(self.views) * self.num_sets)
-        self.views.append(view)
+        self.views.append(weakref.ref(view))
         return view
 
     def ensure_planes(self) -> None:
@@ -202,7 +207,7 @@ class LevelTagStore:
         num_sets = self.num_sets
         views = self.views
         for row in fresh.tolist():
-            view = views[row // num_sets]
+            view = views[row // num_sets]()
             lines = dict.pop(view, row % num_sets, None)
             tags[row] = -1
             if lines:
@@ -263,7 +268,7 @@ class LevelTagStore:
     def export_all(self) -> None:
         """Materialise every plane-resident row (post-run readers, tests)."""
         for view in self.views:
-            self.export_view(view)
+            self.export_view(view())
 
     def release_view(self, view: _SetViews) -> None:
         """Drop residency of one view's rows (``Cache.flush``)."""

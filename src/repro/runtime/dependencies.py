@@ -71,8 +71,7 @@ class DependencyTracker:
             for index in range(columns.num_records)
         ]
         # Forward edges: dependents of instance i, ascending.  The CSR lists
-        # are the tracker's only forward-edge state; the per-instance
-        # ``dependents`` sets stay empty (use :meth:`dependents_of`).
+        # are the tracker's only forward-edge state (see :meth:`dependents_of`).
         self._dependent_offsets = dependent_offsets
         self._dependent_targets = dependent_targets
         self._completed = 0

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional, Set, TYPE_CHECKING
+from typing import Optional, TYPE_CHECKING
 
 from repro.trace.records import TaskTraceRecord
 
@@ -58,7 +58,6 @@ class TaskInstance:
         "task_type",
         "state",
         "remaining_dependencies",
-        "dependents",
         "worker_id",
         "start_cycle",
         "end_cycle",
@@ -74,7 +73,6 @@ class TaskInstance:
         task_type: Optional[TaskType] = None,
         state: TaskState = TaskState.CREATED,
         remaining_dependencies: int = 0,
-        dependents: Optional[Set[int]] = None,
         worker_id: Optional[int] = None,
         start_cycle: Optional[float] = None,
         end_cycle: Optional[float] = None,
@@ -99,7 +97,6 @@ class TaskInstance:
         self.task_type = task_type
         self.state = state
         self.remaining_dependencies = remaining_dependencies
-        self.dependents: Set[int] = dependents if dependents is not None else set()
         self.worker_id = worker_id
         self.start_cycle = start_cycle
         self.end_cycle = end_cycle

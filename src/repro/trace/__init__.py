@@ -13,11 +13,12 @@ substrate for the reproduction:
   program together with the inter-task dependency graph,
 * :class:`~repro.trace.generator.TraceBuilder` and the address-pattern helpers
   in :mod:`repro.trace.patterns` are used by the synthetic workloads in
-  :mod:`repro.workloads` to build traces,
+  :mod:`repro.workloads` to build traces; the helpers return columnar event
+  runs (:class:`~repro.trace.records.EventRun`), not per-event objects,
 * :mod:`repro.trace.io` serialises traces to and from JSON files.
 """
 
-from repro.trace.records import ExecutionBlock, MemoryEvent, TaskTraceRecord
+from repro.trace.records import EventRun, ExecutionBlock, MemoryEvent, TaskTraceRecord
 from repro.trace.columns import ColumnBuilder, TaskTypeTable, TraceColumns
 from repro.trace.trace import ApplicationTrace, TraceStatistics
 from repro.trace.generator import TraceBuilder
@@ -31,6 +32,7 @@ from repro.trace.io import load_trace, save_trace
 
 __all__ = [
     "MemoryEvent",
+    "EventRun",
     "ExecutionBlock",
     "TaskTraceRecord",
     "ColumnBuilder",

@@ -23,23 +23,29 @@ serialisation.  Everything downstream that is performance critical — the
 batched detailed-cost evaluation in :mod:`repro.arch.batch`, dependency
 tracking, trace statistics, validation — operates directly on the arrays.
 
-Two construction paths exist: :meth:`TraceColumns.from_records` converts an
-existing record list (compatibility, JSON deserialisation), and
-:class:`ColumnBuilder` lets workload generators emit straight into the
-columns without ever allocating record objects.
+Columns are built by one emitter, :class:`ColumnBuilder`, which appends
+whole :class:`~repro.trace.records.EventRun` columns per block with list
+``extend``s: workload generators hand it the runs the pattern helpers
+return, so no record or per-event object is allocated during generation.
+Hand-built :class:`~repro.trace.records.MemoryEvent` sequences and record
+lists (:meth:`TraceColumns.from_records`: compatibility, JSON
+deserialisation) go through the same builder after one conversion,
+:func:`~repro.trace.records.as_event_run`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.trace.records import (
+    EventRun,
     ExecutionBlock,
     MemoryEvent,
     TaskTraceRecord,
-    split_into_blocks,
+    as_event_run,
+    split_instructions,
 )
 
 
@@ -266,10 +272,9 @@ class TraceColumns:
         :meth:`validate` checks the *semantic* invariants of a well-formed
         column bundle; this method checks that the bundle is well-formed in
         the first place — offset arrays of the right length, monotone and
-        spanning their body arrays, parallel event arrays of equal length,
-        type ids inside the interned table, and value-range constraints
-        record construction would enforce.  Deserialisation of columnar
-        files calls it so a corrupt file raises
+        spanning their body arrays, parallel event arrays of equal length
+        and type ids inside the interned table.  Deserialisation of columnar
+        files calls it before :meth:`validate` so a corrupt file raises
         :class:`~repro.trace.trace.TraceValidationError` instead of loading
         as a silently different trace.
         """
@@ -303,26 +308,37 @@ class TraceColumns:
             or int(self.task_type_id.max()) >= len(self.types)
         ):
             fail("task_type_id outside the interned type table")
-        if n and int(self.instructions.min()) < 0:
-            fail("negative instruction count")
-        if self.num_blocks and int(self.block_instructions.min()) < 0:
-            fail("negative block instruction count")
-        if num_events:
-            if int(self.event_address.min()) < 0:
-                fail("negative event address")
-            if int(self.event_weight.min()) < 1:
-                fail("event weight below 1")
 
     def validate(self) -> None:
         """Check structural invariants, vectorised over the columns.
 
         Raises :class:`~repro.trace.trace.TraceValidationError` (imported
-        lazily to avoid a module cycle) when a dependency does not point to
-        an earlier instance.  Instance-id density is guaranteed by
-        construction: a record's id *is* its position in the columns.
+        lazily to avoid a module cycle), naming the offending instance, when
+        a dependency does not point to an earlier instance, when the block
+        instruction counts do not sum to the instance's, or when a value
+        violates the range a record view enforces: a negative instruction
+        count (instance or block), a negative event address or an event
+        weight below 1.  Instance-id density is guaranteed by construction:
+        a record's id *is* its position in the columns.
         """
         from repro.trace.trace import TraceValidationError
 
+        # Value ranges, per CSR body: the owner of the first offending entry
+        # is the last record whose offset is at or before it.
+        for bad, offsets, what in (
+            (self.instructions < 0, np.arange(self.num_records + 1),
+             "negative instruction count"),
+            (self.block_instructions < 0, self.block_offsets,
+             "negative block instruction count"),
+            (self.event_address < 0, self.record_event_offsets,
+             "negative event address"),
+            (self.event_weight < 1, self.record_event_offsets,
+             "event weight below 1"),
+        ):
+            if bad.any():
+                first = int(np.argmax(bad))
+                owner = int(np.searchsorted(offsets, first, side="right")) - 1
+                raise TraceValidationError(f"instance {owner}: {what}")
         if self.dep_targets.size:
             owner = np.repeat(
                 np.arange(self.num_records, dtype=np.int64),
@@ -484,9 +500,10 @@ class TraceColumns:
 class ColumnBuilder:
     """Accumulates trace columns one task instance at a time.
 
-    This is the emission target of the workload generators: appends go to
-    plain Python lists (cheap), and :meth:`build` converts them to NumPy
-    arrays once.  Block splitting follows the exact semantics of
+    This is the emission target of the workload generators: each block's
+    event run is appended to plain Python lists with one ``extend`` per
+    column, and :meth:`build` converts them to NumPy arrays once.  Block
+    splitting follows the exact semantics of
     :func:`repro.trace.records.make_record` so column-built and record-built
     traces are indistinguishable.
     """
@@ -516,7 +533,7 @@ class ColumnBuilder:
         self,
         task_type: str,
         instructions: int,
-        memory_events: Optional[Sequence[MemoryEvent]] = None,
+        memory_events: Union[EventRun, Sequence[MemoryEvent], None] = None,
         depends_on: Sequence[int] = (),
         blocks_hint: int = 1,
         creation_order: Optional[int] = None,
@@ -524,42 +541,59 @@ class ColumnBuilder:
         """Append one instance, splitting events into blocks like ``make_record``."""
         if instructions < 0:
             raise ValueError("instructions must be non-negative")
-        blocks = split_into_blocks(instructions, memory_events, blocks_hint)
-        return self.add_prepared(
-            task_type=task_type,
-            instructions=instructions,
-            blocks=blocks,
-            depends_on=depends_on,
-            creation_order=creation_order,
-        )
+        run = as_event_run(memory_events)
+        counts = split_instructions(instructions, len(run), blocks_hint)
+        instance_id = self._start_record(task_type, instructions, depends_on, creation_order)
+        self._append_blocks(counts, run)
+        self._block_offsets.append(len(self._block_instructions))
+        return instance_id
 
     def add_prepared(
         self,
         task_type: str,
         instructions: int,
-        blocks: Sequence[Tuple[int, Sequence[MemoryEvent]]],
+        blocks: Sequence[Tuple[int, Union[EventRun, Sequence[MemoryEvent]]]],
         depends_on: Sequence[int] = (),
         creation_order: Optional[int] = None,
     ) -> int:
-        """Append one instance with an explicit block structure."""
+        """Append one instance with an explicit block structure.
+
+        Value ranges are not checked here: :meth:`TraceColumns.validate`
+        checks them on the finished columns.
+        """
+        instance_id = self._start_record(task_type, instructions, depends_on, creation_order)
+        for block_instructions, events in blocks:
+            self._append_blocks([block_instructions], as_event_run(events))
+        self._block_offsets.append(len(self._block_instructions))
+        return instance_id
+
+    def _start_record(
+        self,
+        task_type: str,
+        instructions: int,
+        depends_on: Sequence[int],
+        creation_order: Optional[int],
+    ) -> int:
         instance_id = len(self._task_type_id)
         self._task_type_id.append(self.types.intern(task_type))
         self._instructions.append(instructions)
         self._creation_order.append(
             creation_order if creation_order is not None else instance_id
         )
-        self._dep_targets.extend(int(dep) for dep in depends_on)
+        self._dep_targets.extend(map(int, depends_on))
         self._dep_offsets.append(len(self._dep_targets))
-        for block_instructions, events in blocks:
-            self._block_instructions.append(block_instructions)
-            for event in events:
-                self._event_address.append(event.address)
-                self._event_is_write.append(event.is_write)
-                self._event_weight.append(event.weight)
-                self._event_shared.append(event.shared)
-            self._event_offsets.append(len(self._event_address))
-        self._block_offsets.append(len(self._block_instructions))
         return instance_id
+
+    def _append_blocks(self, counts: Sequence[int], run: EventRun) -> None:
+        """Append one block per entry of ``counts``, dealing ``run`` round-robin."""
+        stride = len(counts)
+        for index, count in enumerate(counts):
+            self._block_instructions.append(count)
+            self._event_address.extend(run.address[index::stride])
+            self._event_is_write.extend(run.is_write[index::stride])
+            self._event_weight.extend(run.weight[index::stride])
+            self._event_shared.extend(run.shared[index::stride])
+            self._event_offsets.append(len(self._event_address))
 
     def build(self) -> TraceColumns:
         """Freeze the accumulated lists into :class:`TraceColumns`."""

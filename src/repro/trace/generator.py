@@ -5,20 +5,23 @@ Workload generators describe their task graph instance by instance; the
 dependency bookkeeping and finally produces a validated
 :class:`~repro.trace.trace.ApplicationTrace`.
 
-Since the columnar-backbone refactor the builder emits directly into a
-:class:`~repro.trace.columns.ColumnBuilder` — no ``TaskTraceRecord`` objects
-are allocated during generation; record views are materialised from the
-columns only when record-oriented code asks for them.
+The builder emits directly into a
+:class:`~repro.trace.columns.ColumnBuilder`: workload generators pass the
+columnar event runs (:class:`~repro.trace.records.EventRun`) of the pattern
+helpers, which are split into blocks and appended column by column, so no
+``TaskTraceRecord`` or ``MemoryEvent`` object is allocated during
+generation.  Record views are materialised from the columns only when
+record-oriented code asks for them.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional, Sequence, Union
 
 from repro.trace.columns import ColumnBuilder
 from repro.trace.patterns import AddressSpaceAllocator
-from repro.trace.records import MemoryEvent, TaskTraceRecord
+from repro.trace.records import EventRun, MemoryEvent, TaskTraceRecord
 from repro.trace.trace import ApplicationTrace
 
 
@@ -65,15 +68,17 @@ class TraceBuilder:
         self,
         task_type: str,
         instructions: int,
-        memory_events: Optional[Sequence[MemoryEvent]] = None,
+        memory_events: Union[EventRun, Sequence[MemoryEvent], None] = None,
         depends_on: Sequence[int] = (),
         blocks: int = 4,
     ) -> int:
         """Add one task instance and return its instance id.
 
         Parameters mirror :func:`repro.trace.records.make_record` (events are
-        split round-robin over ``blocks`` execution blocks); dependencies
-        must refer to instances already added to this builder.
+        split round-robin over ``blocks`` execution blocks; a
+        :class:`~repro.trace.records.MemoryEvent` sequence is accepted and
+        converted to a run); dependencies must refer to instances already
+        added to this builder.
         """
         instance_id = self.next_instance_id
         for dependency in depends_on:

@@ -3,9 +3,10 @@
 The workloads in :mod:`repro.workloads` describe their memory behaviour in
 terms of a few canonical access patterns (strided streaming, random accesses
 within a working set, heavy reuse of a small block, accesses to shared data).
-The helpers in this module turn those descriptions into concrete, weighted
-:class:`~repro.trace.records.MemoryEvent` lists, deterministically for a given
-:class:`random.Random` instance.
+The helpers in this module turn those descriptions into concrete weighted
+events, deterministically for a given :class:`random.Random` instance.  Each
+returns one columnar :class:`~repro.trace.records.EventRun` (parallel
+address, write, weight and shared lists) rather than one object per event.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import random
 from dataclasses import dataclass
 from typing import List
 
-from repro.trace.records import MemoryEvent
+from repro.trace.records import EventRun
 
 CACHE_LINE = 64
 
@@ -80,7 +81,7 @@ def strided_accesses(
     start: int = 0,
     write_fraction: float = 0.0,
     rng: random.Random | None = None,
-) -> List[MemoryEvent]:
+) -> EventRun:
     """Generate ``count`` weighted events walking ``region`` with ``stride``.
 
     Models streaming/strided kernels (2d-convolution, 3d-stencil,
@@ -88,23 +89,16 @@ def strided_accesses(
     accesses that hit consecutive lines.
     """
     if count <= 0:
-        return []
+        return EventRun()
     rng = rng or random.Random(0)
-    weight = max(1, total_accesses // count)
-    events: List[MemoryEvent] = []
-    offset = start
-    for _ in range(count):
-        is_write = rng.random() < write_fraction
-        events.append(
-            MemoryEvent(
-                address=region.offset(offset),
-                is_write=is_write,
-                weight=weight,
-                shared=region.shared,
-            )
-        )
-        offset += stride
-    return events
+    draw = rng.random
+    base, size = region.base, region.size
+    return EventRun(
+        address=[base + (start + index * stride) % size for index in range(count)],
+        is_write=[draw() < write_fraction for _ in range(count)],
+        weight=[max(1, total_accesses // count)] * count,
+        shared=[region.shared] * count,
+    )
 
 
 def random_accesses(
@@ -113,30 +107,31 @@ def random_accesses(
     total_accesses: int,
     write_fraction: float = 0.0,
     rng: random.Random | None = None,
-) -> List[MemoryEvent]:
+) -> EventRun:
     """Generate events at uniformly random line-aligned offsets in ``region``.
 
     Models irregular kernels (n-body neighbour lookups, canneal's random graph
     walks, sparse matrix structure-dependent accesses).
     """
     if count <= 0:
-        return []
+        return EventRun()
     rng = rng or random.Random(0)
-    weight = max(1, total_accesses // count)
+    draw, draw_below = rng.random, rng.randrange
     lines = max(1, region.size // CACHE_LINE)
-    events: List[MemoryEvent] = []
+    base = region.base
+    # The line and the write flag of one event are drawn back to back, so
+    # the two columns fill in one loop.
+    address: List[int] = []
+    is_write: List[bool] = []
     for _ in range(count):
-        line = rng.randrange(lines)
-        is_write = rng.random() < write_fraction
-        events.append(
-            MemoryEvent(
-                address=region.base + line * CACHE_LINE,
-                is_write=is_write,
-                weight=weight,
-                shared=region.shared,
-            )
-        )
-    return events
+        address.append(base + draw_below(lines) * CACHE_LINE)
+        is_write.append(draw() < write_fraction)
+    return EventRun(
+        address=address,
+        is_write=is_write,
+        weight=[max(1, total_accesses // count)] * count,
+        shared=[region.shared] * count,
+    )
 
 
 def reuse_accesses(
@@ -146,27 +141,27 @@ def reuse_accesses(
     hot_lines: int = 8,
     write_fraction: float = 0.0,
     rng: random.Random | None = None,
-) -> List[MemoryEvent]:
+) -> EventRun:
     """Generate events that repeatedly touch a small set of hot cache lines.
 
     Models compute-bound kernels with high data reuse (dense matrix
     multiplication inner blocks, blackscholes per-option state).
     """
     if count <= 0:
-        return []
+        return EventRun()
     rng = rng or random.Random(0)
-    weight = max(1, total_accesses // count)
+    draw, draw_below = rng.random, rng.randrange
     lines = max(1, min(hot_lines, region.size // CACHE_LINE))
-    events: List[MemoryEvent] = []
+    base = region.base
+    address: List[int] = []
+    is_write: List[bool] = []
     for index in range(count):
-        line = index % lines if rng.random() < 0.8 else rng.randrange(lines)
-        is_write = rng.random() < write_fraction
-        events.append(
-            MemoryEvent(
-                address=region.base + line * CACHE_LINE,
-                is_write=is_write,
-                weight=weight,
-                shared=region.shared,
-            )
-        )
-    return events
+        line = index % lines if draw() < 0.8 else draw_below(lines)
+        address.append(base + line * CACHE_LINE)
+        is_write.append(draw() < write_fraction)
+    return EventRun(
+        address=address,
+        is_write=is_write,
+        weight=[max(1, total_accesses // count)] * count,
+        shared=[region.shared] * count,
+    )

@@ -20,7 +20,7 @@ resource contention and input-dependent working sets.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 
 @dataclass(frozen=True)
@@ -54,6 +54,83 @@ class MemoryEvent:
             raise ValueError(f"address must be non-negative, got {self.address}")
         if self.weight < 1:
             raise ValueError(f"weight must be >= 1, got {self.weight}")
+
+
+class EventRun:
+    """A run of weighted memory events, stored as four parallel lists.
+
+    This is the form in which workload generators emit memory behaviour:
+    event ``i`` is ``(address[i], is_write[i], weight[i], shared[i])``, with
+    the meaning of the :class:`MemoryEvent` fields, but no per-event object
+    is allocated.  Runs are appended to the trace columns with list
+    ``extend``s (:class:`~repro.trace.columns.ColumnBuilder`).  The value
+    invariants a :class:`MemoryEvent` enforces on construction (non-negative
+    address, weight at least 1) are checked on the finished columns by
+    :meth:`~repro.trace.columns.TraceColumns.validate`.
+    """
+
+    __slots__ = ("address", "is_write", "weight", "shared")
+
+    def __init__(
+        self,
+        address: Optional[List[int]] = None,
+        is_write: Optional[List[bool]] = None,
+        weight: Optional[List[int]] = None,
+        shared: Optional[List[bool]] = None,
+    ) -> None:
+        self.address = address if address is not None else []
+        self.is_write = is_write if is_write is not None else []
+        self.weight = weight if weight is not None else []
+        self.shared = shared if shared is not None else []
+
+    def events(self) -> Tuple[MemoryEvent, ...]:
+        """Materialise the run as :class:`MemoryEvent` objects (record views)."""
+        return tuple(
+            MemoryEvent(address=address, is_write=is_write, weight=weight, shared=shared)
+            for address, is_write, weight, shared in zip(
+                self.address, self.is_write, self.weight, self.shared
+            )
+        )
+
+    def extend(self, other: "EventRun") -> None:
+        """Append the events of ``other`` to this run."""
+        self.address.extend(other.address)
+        self.is_write.extend(other.is_write)
+        self.weight.extend(other.weight)
+        self.shared.extend(other.shared)
+
+    def __len__(self) -> int:
+        return len(self.address)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, EventRun):
+            return NotImplemented
+        return (
+            self.address == other.address
+            and self.is_write == other.is_write
+            and self.weight == other.weight
+            and self.shared == other.shared
+        )
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"EventRun({len(self)} events)"
+
+
+def as_event_run(events: Union[EventRun, Sequence[MemoryEvent], None]) -> EventRun:
+    """Return ``events`` as an :class:`EventRun`.
+
+    The one place where hand-built :class:`MemoryEvent` sequences (examples,
+    tests, record-built traces) enter the columnar emission path.
+    """
+    if isinstance(events, EventRun):
+        return events
+    events = list(events or ())
+    return EventRun(
+        [event.address for event in events],
+        [event.is_write for event in events],
+        [event.weight for event in events],
+        [event.shared for event in events],
+    )
 
 
 @dataclass(frozen=True)
@@ -156,56 +233,45 @@ class TaskTraceRecord:
         return len(lines) * 64
 
 
-def split_into_blocks(
-    instructions: int,
-    memory_events: Optional[Sequence[MemoryEvent]],
-    blocks_hint: int,
-) -> List[Tuple[int, List[MemoryEvent]]]:
-    """Split a flat event list into ``(instructions, events)`` block tuples.
+def split_instructions(instructions: int, num_events: int, blocks_hint: int) -> List[int]:
+    """Per-block instruction counts of an instance split into execution blocks.
 
-    Events are distributed round-robin over ``blocks_hint`` execution blocks
-    and the instruction count is split evenly with the remainder charged to
-    the last block.  This is the single definition of the split used by both
-    :func:`make_record` and the columnar
-    :meth:`~repro.trace.columns.ColumnBuilder.add_task`, keeping record-built
-    and column-built traces bit-identical.
+    The instance gets ``blocks_hint`` blocks (fewer when it has fewer
+    events, at least one); the instruction count is split evenly with the
+    remainder charged to the last block, and the events are dealt
+    round-robin, so block ``i`` of ``k`` owns ``events[i::k]``.  This is the
+    single definition of the split used by both :func:`make_record` and the
+    columnar :meth:`~repro.trace.columns.ColumnBuilder.add_task`, keeping
+    record-built and column-built traces bit-identical.
     """
     if blocks_hint < 1:
         raise ValueError("blocks_hint must be >= 1")
-    events = list(memory_events or [])
-    blocks_hint = max(1, min(blocks_hint, max(1, len(events))))
-    per_block_instr = instructions // blocks_hint
-    remainder = instructions - per_block_instr * blocks_hint
-    return [
-        (
-            per_block_instr + (remainder if index == blocks_hint - 1 else 0),
-            events[index::blocks_hint],
-        )
-        for index in range(blocks_hint)
-    ]
+    blocks = max(1, min(blocks_hint, num_events))
+    per_block = instructions // blocks
+    return [per_block] * (blocks - 1) + [instructions - per_block * (blocks - 1)]
 
 
 def make_record(
     instance_id: int,
     task_type: str,
     instructions: int,
-    memory_events: Optional[Sequence[MemoryEvent]] = None,
+    memory_events: Union[EventRun, Sequence[MemoryEvent], None] = None,
     depends_on: Sequence[int] = (),
     blocks_hint: int = 1,
     creation_order: Optional[int] = None,
 ) -> TaskTraceRecord:
-    """Convenience constructor splitting a flat event list into blocks.
+    """Convenience constructor splitting a flat event run into blocks.
 
     The events are distributed round-robin over ``blocks_hint`` execution
     blocks and the instruction count is split evenly (see
-    :func:`split_into_blocks`), which is sufficient for workload generators
+    :func:`split_instructions`), which is sufficient for workload generators
     that do not care about intra-task phase behaviour.
     """
+    events = as_event_run(memory_events).events()
+    counts = split_instructions(instructions, len(events), blocks_hint)
     blocks = [
-        ExecutionBlock(instructions=block_instr, memory_events=tuple(block_events))
-        for block_instr, block_events in split_into_blocks(
-            instructions, memory_events, blocks_hint
-        )
+        ExecutionBlock(instructions=count, memory_events=events[index :: len(counts)])
+        for index, count in enumerate(counts)
     ]
     return TaskTraceRecord(
         instance_id=instance_id,

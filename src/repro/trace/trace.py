@@ -20,7 +20,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.trace.columns import ColumnBuilder, TraceColumns
-from repro.trace.records import TaskTraceRecord
+from repro.trace.records import EventRun, TaskTraceRecord
 
 
 class TraceValidationError(ValueError):
@@ -295,6 +295,12 @@ def merge_traces(name: str, traces: Sequence[ApplicationTrace]) -> ApplicationTr
         block_offsets = columns.block_offsets.tolist()
         block_instr = columns.block_instructions.tolist()
         event_offsets = columns.event_offsets.tolist()
+        event_columns = (
+            columns.event_address.tolist(),
+            columns.event_is_write.tolist(),
+            columns.event_weight.tolist(),
+            columns.event_shared.tolist(),
+        )
         for index in range(count):
             depends = tuple(
                 dep + offset
@@ -305,7 +311,10 @@ def merge_traces(name: str, traces: Sequence[ApplicationTrace]) -> ApplicationTr
             blocks = []
             for block in range(block_offsets[index], block_offsets[index + 1]):
                 start, stop = event_offsets[block], event_offsets[block + 1]
-                blocks.append((block_instr[block], _EventSlice(columns, start, stop)))
+                blocks.append((
+                    block_instr[block],
+                    EventRun(*(column[start:stop] for column in event_columns)),
+                ))
             builder.add_prepared(
                 task_type=type_names[type_ids[index]],
                 instructions=instructions[index],
@@ -317,26 +326,3 @@ def merge_traces(name: str, traces: Sequence[ApplicationTrace]) -> ApplicationTr
             previous_last = count - 1 + offset
         offset += count
     return ApplicationTrace(name=name, columns=builder.build())
-
-
-class _EventSlice:
-    """Zero-copy event range used when merging columnar traces."""
-
-    __slots__ = ("_columns", "_start", "_stop")
-
-    def __init__(self, columns: TraceColumns, start: int, stop: int) -> None:
-        self._columns = columns
-        self._start = start
-        self._stop = stop
-
-    def __iter__(self):
-        from repro.trace.records import MemoryEvent
-
-        columns = self._columns
-        for position in range(self._start, self._stop):
-            yield MemoryEvent(
-                address=int(columns.event_address[position]),
-                is_write=bool(columns.event_is_write[position]),
-                weight=int(columns.event_weight[position]),
-                shared=bool(columns.event_shared[position]),
-            )

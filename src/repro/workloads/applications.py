@@ -15,6 +15,7 @@ import random
 from typing import Dict, List, Tuple
 
 from repro.trace.generator import TraceBuilder
+from repro.trace.records import EventRun
 from repro.workloads.base import Workload
 
 
@@ -49,7 +50,7 @@ class CheckSparseLU(Workload):
         }
         last_writer: Dict[Tuple[int, int], int] = {}
 
-        def block_events(row: int, col: int, instructions: int, kind: str) -> list:
+        def block_events(row: int, col: int, instructions: int, kind: str) -> EventRun:
             offset = ((row * dimension + col) * block_bytes) % matrix.size
             region = matrix.slice(offset, block_bytes)
             if kind == "dense":
@@ -151,7 +152,7 @@ class Cholesky(Workload):
         dimension = max(4, round((6.0 * num_instances) ** (1.0 / 3.0)))
         last_writer: Dict[Tuple[int, int], int] = {}
 
-        def events_for(row: int, col: int, instructions: int, reuse: bool) -> list:
+        def events_for(row: int, col: int, instructions: int, reuse: bool) -> EventRun:
             offset = ((row * dimension + col) * block_bytes) % matrix.size
             region = matrix.slice(offset, block_bytes)
             if reuse:

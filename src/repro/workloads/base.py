@@ -11,13 +11,15 @@ smaller scales shrink the instance count proportionally (never below
 Python.
 
 Generators emit through :class:`~repro.trace.generator.TraceBuilder`
-straight into the columnar trace backbone (:mod:`repro.trace.columns`): no
-``TaskTraceRecord`` objects are allocated during generation, and the
-resulting :class:`~repro.trace.trace.ApplicationTrace` carries NumPy columns
-as its source of truth.  Instruction counts per instance are already scaled down relative to
-the native benchmarks (the sampling methodology is insensitive to the
-absolute magnitude — only the per-type IPC and the relative instance sizes
-matter).
+straight into the columnar trace backbone (:mod:`repro.trace.columns`): the
+pattern helpers return columnar event runs
+(:class:`~repro.trace.records.EventRun`), so no ``TaskTraceRecord`` or
+``MemoryEvent`` object is allocated during generation, and the resulting
+:class:`~repro.trace.trace.ApplicationTrace` carries NumPy columns as its
+source of truth.  Instruction counts per instance are already scaled down
+relative to the native benchmarks (the sampling methodology is insensitive
+to the absolute magnitude — only the per-type IPC and the relative instance
+sizes matter).
 """
 
 from __future__ import annotations
@@ -27,7 +29,9 @@ import math
 import random
 import zlib
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from functools import lru_cache
+from operator import itemgetter
+from typing import Tuple
 
 from repro.trace.generator import TraceBuilder
 from repro.trace.patterns import (
@@ -36,7 +40,7 @@ from repro.trace.patterns import (
     reuse_accesses,
     strided_accesses,
 )
-from repro.trace.records import MemoryEvent
+from repro.trace.records import EventRun
 from repro.trace.trace import ApplicationTrace
 
 
@@ -146,7 +150,7 @@ class Workload(abc.ABC):
         start: int = 0,
         stride: int = 64,
         write_fraction: float = 0.1,
-    ) -> List[MemoryEvent]:
+    ) -> EventRun:
         """Strided (streaming) access events starting at ``start``."""
         return strided_accesses(
             region,
@@ -165,7 +169,7 @@ class Workload(abc.ABC):
         events: int,
         accesses: int,
         write_fraction: float = 0.1,
-    ) -> List[MemoryEvent]:
+    ) -> EventRun:
         """Random access events within ``region``."""
         return random_accesses(
             region,
@@ -183,7 +187,7 @@ class Workload(abc.ABC):
         accesses: int,
         hot_lines: int = 16,
         write_fraction: float = 0.1,
-    ) -> List[MemoryEvent]:
+    ) -> EventRun:
         """Events that repeatedly touch a small hot set in ``region``."""
         return reuse_accesses(
             region,
@@ -195,14 +199,36 @@ class Workload(abc.ABC):
         )
 
     @staticmethod
-    def combine(*event_lists: Sequence[MemoryEvent]) -> List[MemoryEvent]:
-        """Interleave several event lists into one, preserving rough order."""
-        combined: List[MemoryEvent] = []
-        lists = [list(events) for events in event_lists if events]
-        while lists:
-            for events in list(lists):
-                if events:
-                    combined.append(events.pop(0))
-                else:
-                    lists.remove(events)
-        return combined
+    def combine(*runs: EventRun) -> EventRun:
+        """Interleave several event runs round-robin, preserving rough order."""
+        merged = EventRun()
+        lengths = []
+        for run in runs:
+            if len(run):
+                lengths.append(len(run))
+                merged.extend(run)
+        if len(lengths) < 2:
+            return merged
+        pick = _round_robin(tuple(lengths))
+        return EventRun(
+            address=list(pick(merged.address)),
+            is_write=list(pick(merged.is_write)),
+            weight=list(pick(merged.weight)),
+            shared=list(pick(merged.shared)),
+        )
+
+
+@lru_cache(maxsize=1024)
+def _round_robin(lengths: Tuple[int, ...]) -> itemgetter:
+    """Picks the round-robin order out of runs of ``lengths`` laid end to end.
+
+    Round ``r`` takes event ``r`` of every run that still has one.  Workloads
+    combine runs of a few fixed lengths, so the getter is memoised.
+    """
+    starts = [sum(lengths[:index]) for index in range(len(lengths))]
+    return itemgetter(*[
+        start + step
+        for step in range(max(lengths))
+        for start, length in zip(starts, lengths)
+        if step < length
+    ])

@@ -14,6 +14,7 @@ import random
 from typing import List
 
 from repro.trace.generator import TraceBuilder
+from repro.trace.records import EventRun
 from repro.workloads.base import Workload
 
 
@@ -66,7 +67,7 @@ class Stencil3D(Workload):
         for index in range(num_instances):
             instructions = self.jittered(rng, 30_000, jitter=0.025)
             start = (index * block_bytes) % volume.size
-            events = []
+            events = EventRun()
             for plane in range(3):
                 events.extend(
                     self.streaming_events(

@@ -1,6 +1,8 @@
 """Unit and integration tests for the simulation engine and simulator facade."""
 
+import gc
 import re
+import weakref
 
 import pytest
 
@@ -170,3 +172,26 @@ class TestPhaseProfile:
         engine = SimulationEngine(trace, high_perf, num_threads=threads)
         engine.run()
         assert "phase_wall_s" not in engine.vector_stats
+
+
+class TestEngineRelease:
+    @pytest.mark.parametrize("architecture", ["high_perf", "low_power"])
+    @pytest.mark.parametrize("threads", [4, 64])
+    def test_released_engine_frees_memory_without_the_cycle_collector(
+        self, architecture, threads, request
+    ):
+        # A finished engine's memory system (every cache line it simulated)
+        # must be freed as soon as the engine is released, not whenever the
+        # cyclic collector next runs: serial grids build one engine per spec.
+        config = request.getfixturevalue(architecture)
+        engine = SimulationEngine(
+            build_uniform_trace(num_instances=128), config, num_threads=threads
+        )
+        gc.disable()
+        try:
+            engine.run()
+            memory_system = weakref.ref(engine.memory_system)
+            del engine
+            assert memory_system() is None
+        finally:
+            gc.enable()

@@ -32,6 +32,25 @@ def _sample_records():
     ]
 
 
+def _one_event_columns(address=64, weight=1):
+    """Two instances of one block each; only the second has a memory event."""
+    return TraceColumns(
+        types=TaskTypeTable(["t"]),
+        task_type_id=[0, 0],
+        instructions=[10, 10],
+        creation_order=[0, 1],
+        dep_offsets=[0, 0, 0],
+        dep_targets=[],
+        block_offsets=[0, 1, 2],
+        block_instructions=[10, 10],
+        event_offsets=[0, 0, 1],
+        event_address=[address],
+        event_is_write=[False],
+        event_weight=[weight],
+        event_shared=[False],
+    )
+
+
 class TestColumnRecordRoundTrip:
     def test_records_to_columns_and_back(self):
         records = _sample_records()
@@ -74,6 +93,28 @@ class TestColumnRecordRoundTrip:
         builder.add_prepared("t", 10, blocks=[(4, []), (5, [])])
         with pytest.raises(TraceValidationError):
             ApplicationTrace(name="bad", columns=builder.build())
+
+    def test_validation_rejects_negative_instructions(self):
+        builder = ColumnBuilder()
+        builder.add_task("t", 10)
+        builder.add_prepared("t", -5, blocks=[(-5, [])])
+        with pytest.raises(TraceValidationError, match="instance 1"):
+            ApplicationTrace(name="bad", columns=builder.build())
+
+    def test_validation_rejects_negative_block_instructions(self):
+        builder = ColumnBuilder()
+        builder.add_task("t", 10)
+        builder.add_prepared("t", 10, blocks=[(-5, []), (15, [])])
+        with pytest.raises(TraceValidationError, match="instance 1"):
+            ApplicationTrace(name="bad", columns=builder.build())
+
+    def test_validation_rejects_negative_event_address(self):
+        with pytest.raises(TraceValidationError, match="instance 1"):
+            ApplicationTrace(name="bad", columns=_one_event_columns(address=-64))
+
+    def test_validation_rejects_event_weight_below_one(self):
+        with pytest.raises(TraceValidationError, match="instance 1"):
+            ApplicationTrace(name="bad", columns=_one_event_columns(weight=0))
 
     def test_validated_flag_skips_revalidation(self):
         builder = ColumnBuilder()

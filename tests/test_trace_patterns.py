@@ -12,6 +12,7 @@ from repro.trace.patterns import (
     reuse_accesses,
     strided_accesses,
 )
+from repro.trace.records import EventRun
 
 
 class TestAddressSpace:
@@ -64,42 +65,42 @@ class TestPatterns:
         events = strided_accesses(
             self.region, count=10, total_accesses=100, stride=128, rng=self.rng
         )
-        addresses = [event.address for event in events]
-        assert addresses == [i * 128 for i in range(10)]
-        assert all(event.weight == 10 for event in events)
+        assert events.address == [i * 128 for i in range(10)]
+        assert all(weight == 10 for weight in events.weight)
 
     def test_strided_empty_when_count_zero(self):
-        assert strided_accesses(self.region, count=0, total_accesses=10) == []
+        assert strided_accesses(self.region, count=0, total_accesses=10) == EventRun()
+        assert len(strided_accesses(self.region, count=0, total_accesses=10)) == 0
 
     def test_random_accesses_stay_in_region(self):
         events = random_accesses(self.region, count=50, total_accesses=500, rng=self.rng)
         assert len(events) == 50
-        for event in events:
-            assert self.region.base <= event.address < self.region.base + self.region.size
-            assert event.address % CACHE_LINE == 0
+        for address in events.address:
+            assert self.region.base <= address < self.region.base + self.region.size
+            assert address % CACHE_LINE == 0
 
     def test_reuse_accesses_touch_few_lines(self):
         events = reuse_accesses(
             self.region, count=100, total_accesses=1000, hot_lines=4, rng=self.rng
         )
-        lines = {event.address // CACHE_LINE for event in events}
+        lines = {address // CACHE_LINE for address in events.address}
         assert len(lines) <= 4
 
     def test_write_fraction_produces_writes(self):
         events = random_accesses(
             self.region, count=200, total_accesses=200, write_fraction=1.0, rng=self.rng
         )
-        assert all(event.is_write for event in events)
+        assert all(events.is_write)
         events = random_accesses(
             self.region, count=200, total_accesses=200, write_fraction=0.0, rng=self.rng
         )
-        assert not any(event.is_write for event in events)
+        assert not any(events.is_write)
 
     def test_shared_region_marks_events_shared(self):
         shared = AddressSpace(base=0, size=4096, shared=True)
         events = strided_accesses(shared, count=5, total_accesses=5, rng=self.rng)
-        assert all(event.shared for event in events)
+        assert all(events.shared)
 
     def test_weight_at_least_one(self):
         events = random_accesses(self.region, count=10, total_accesses=3, rng=self.rng)
-        assert all(event.weight >= 1 for event in events)
+        assert all(weight >= 1 for weight in events.weight)

@@ -1,7 +1,10 @@
 """Tests for the 19 benchmark workload generators (Table I)."""
 
+import hashlib
+
 import pytest
 
+from repro.trace.records import MemoryEvent
 from repro.trace.trace import ApplicationTrace
 from repro.workloads.base import Workload
 from repro.workloads.registry import (
@@ -172,3 +175,45 @@ class TestBehaviouralCharacteristics:
         )
         sizes = [record.instructions for record in trace]
         assert max(sizes) / min(sizes) > 2
+
+
+#: SHA-256 over every workload's trace at scales/seeds (0.05, 1) and
+#: (0.02, 7): the repr of the task-type names, then the bytes of the twelve
+#: columns in ``TraceColumns.__eq__`` order.  Any change to generation that
+#: alters a single event, block or dependency changes it.
+TRACE_DIGEST = "11d4de086532037a0a6079f6436767ddbb6ea152934ea0d9cb695f82a97b43c6"
+COLUMN_FIELDS = (
+    "task_type_id",
+    "instructions",
+    "creation_order",
+    "dep_offsets",
+    "dep_targets",
+    "block_offsets",
+    "block_instructions",
+    "event_offsets",
+    "event_address",
+    "event_is_write",
+    "event_weight",
+    "event_shared",
+)
+
+
+class TestColumnarEmission:
+    def test_all_workload_traces_match_the_pinned_digest(self):
+        digest = hashlib.sha256()
+        for name in list_workloads():
+            for scale, seed in ((0.05, 1), (0.02, 7)):
+                columns = get_workload(name).generate(scale=scale, seed=seed).columns
+                digest.update(repr(columns.types.names).encode("utf-8"))
+                for field in COLUMN_FIELDS:
+                    digest.update(getattr(columns, field).tobytes())
+        assert digest.hexdigest() == TRACE_DIGEST
+
+    def test_generation_constructs_no_memory_event(self, monkeypatch):
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("MemoryEvent constructed during generation")
+
+        monkeypatch.setattr(MemoryEvent, "__init__", refuse)
+        for name in list_workloads():
+            trace = get_workload(name).generate(scale=0.02, seed=1)
+            assert len(trace) > 0
