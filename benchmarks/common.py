@@ -67,12 +67,12 @@ def bench_jobs() -> int:
 
 
 def bench_backend_name() -> str:
-    """Execution backend name (auto/serial/async/multihost).
+    """Execution backend name (auto/serial/async).
 
     ``REPRO_BENCH_BACKEND=async`` runs every grid on the distributed
     asyncio-worker backend; the default ``auto`` picks it when
-    ``REPRO_BENCH_JOBS`` > 1 and runs serially otherwise — unless
-    ``REPRO_BENCH_HOSTS`` is set, which selects ``multihost``.
+    ``REPRO_BENCH_JOBS`` > 1 or ``REPRO_BENCH_HOSTS`` is set and runs
+    serially otherwise.
     """
     return os.environ.get("REPRO_BENCH_BACKEND", "auto")
 
@@ -90,8 +90,8 @@ def bench_hosts() -> Optional[str]:
 def bench_batch() -> Optional[str]:
     """Specs per dispatch frame (``REPRO_BENCH_BATCH=N|adaptive[:N]``).
 
-    Applies to the async/multihost backends (protocol-level ``run_batch``
-    dispatch); unset keeps one spec per dispatch.
+    Applies to the async backend (protocol-level ``run_batch`` dispatch);
+    unset keeps one spec per dispatch.
     """
     return os.environ.get("REPRO_BENCH_BATCH") or None
 

@@ -3,11 +3,11 @@
 
 Runs the full paper grid — all 19 benchmarks of Table I x both Table II
 architectures, sampled + detailed baseline — twice: once on the in-process
-``SerialBackend`` and once through :class:`repro.exp.hosts.MultiHostBackend`
-with (by default) two simulated hosts of two workers each, every worker a
-connect-back TCP subprocess speaking the frame protocol (zlib-compressed on
-TCP).  Both
-runs persist into on-disk :class:`ResultStore` caches, and the demo asserts
+``SerialBackend`` and once through
+:class:`repro.exp.distributed.AsyncWorkerBackend` over ``--hosts`` (by
+default two simulated hosts of two workers each), every worker a
+connect-back TCP subprocess speaking the zlib-compressed frame protocol.
+Both runs persist into on-disk :class:`ResultStore` caches, and the demo asserts
 the stores are **byte-identical** (failure diagnostics excluded, per the
 store convention) — the multi-host transport's headline guarantee.
 
@@ -37,8 +37,8 @@ import time
 from repro.arch.config import high_performance_config, low_power_config
 from repro.core.config import lazy_config
 from repro.exp import (
+    AsyncWorkerBackend,
     ExperimentSpec,
-    MultiHostBackend,
     ResultStore,
     SerialBackend,
     run_experiments,
@@ -148,8 +148,8 @@ def main(argv=None) -> int:
         print(f"serial reference: {serial_seconds:.1f}s")
 
         multi_store = ResultStore(multi_dir)
-        backend = MultiHostBackend(
-            args.hosts,
+        backend = AsyncWorkerBackend(
+            hosts=args.hosts,
             listen_host=listen_host,
             listen_port=listen_port,
             batch=args.batch,
@@ -162,7 +162,7 @@ def main(argv=None) -> int:
         multi_seconds = time.monotonic() - started
         print(f"multi-host ({args.hosts}): {multi_seconds:.1f}s  "
               f"stats={backend.stats}")
-        for host, stats in sorted(backend.host_stats.items()):
+        for host, stats in sorted(backend.host_snapshot().items()):
             print(f"  {host}: {stats}")
 
         serial_count, serial_digest = store_fingerprint(serial_dir)

@@ -15,8 +15,9 @@ The library is organised in layers, from the substrate upwards:
 * :mod:`repro.core` — TaskPoint itself: sample histories, warm-up, sampling
   policies, accurate fast-forwarding and the sampling controller,
 * :mod:`repro.exp` — the experiment orchestration layer: hashable
-  experiment specs, serial/async-worker/multi-host execution backends
-  and the persistent sharded result store every evaluation runs on,
+  experiment specs, the serial and async-worker (one host or many)
+  execution backends and the persistent sharded result store every
+  evaluation runs on,
 * :mod:`repro.analysis` — IPC-variation analysis, accuracy/speedup metrics,
   parameter sweeps and the experiment drivers behind every figure and table.
 

@@ -23,13 +23,12 @@ The CLI exposes the most common workflows without writing any Python:
 
 The experiment-driven commands (``compare``, ``grid``, ``sweep``) accept
 ``--jobs N`` to shard their experiments over N worker processes,
-``--backend {auto,serial,async,multihost}`` to pick the execution backend
-explicitly (``auto`` is serial for ``--jobs 1`` and ``async`` otherwise;
-``async`` is the asyncio supervisor over ``--jobs`` ``repro.exp.worker``
-subprocesses, with heartbeats and retry on worker death; ``multihost`` fans
-workers out across machines),
+``--backend {auto,serial,async}`` to pick the execution backend explicitly
+(``auto`` is serial for ``--jobs 1`` without ``--hosts`` and ``async``
+otherwise; ``async`` is the asyncio supervisor over ``--jobs`` connect-back
+``repro.exp.worker`` processes, with heartbeats and retry on worker death),
 ``--hosts host1:4,host2:8 [--listen PORT]`` to shard a grid over a cluster
-of connect-back workers (local subprocesses or SSH),
+of connect-back workers (local subprocesses or SSH) instead,
 ``--batch {N,adaptive[:N]}`` to pack several specs into one dispatch frame
 (amortising per-spec round-trips for sub-second experiments), and
 ``--cache-dir DIR`` to persist every result on disk, keyed by experiment
@@ -67,7 +66,6 @@ from repro.core.stratified import StratifiedConfig
 from repro.exp import (
     BACKEND_NAMES,
     CACHE_DIR_ENV,
-    LAYOUT_NAMES,
     ExperimentExecutionError,
     ExperimentSpec,
     ResultStore,
@@ -231,11 +229,15 @@ def _benchmark_list(raw: str) -> List[str]:
 
 def _backend_and_store(args: argparse.Namespace):
     store = ResultStore(args.cache_dir) if args.cache_dir else default_store()
-    if args.hosts and args.backend not in ("auto", "multihost"):
-        raise ValueError("--hosts requires --backend multihost (or auto)")
-    if args.listen and not (args.hosts or args.backend == "multihost"):
+    serial = args.backend == "serial" or (
+        args.backend == "auto" and not args.hosts and args.jobs <= 1
+    )
+    if serial and args.hosts:
+        raise ValueError("--hosts requires --backend async (or auto)")
+    if serial and (args.listen or args.connect_host):
         raise ValueError(
-            "--listen only applies to the multihost backend (pass --hosts)"
+            "--listen and --connect-host need worker processes "
+            "(pass --hosts or --jobs N)"
         )
     backend = make_named_backend(
         args.backend, workers=args.jobs, store=store,
@@ -304,9 +306,9 @@ def _add_orchestrator_arguments(parser: argparse.ArgumentParser) -> None:
                         help="parallel worker processes (default 1 = serial)")
     parser.add_argument("--backend", choices=list(BACKEND_NAMES), default="auto",
                         help="execution backend (default: auto — async "
-                             "workers when --jobs > 1, serial otherwise; "
-                             "'async' runs --jobs worker subprocesses, "
-                             "multihost budgets live in --hosts)")
+                             "workers when --jobs > 1 or --hosts is given, "
+                             "serial otherwise; 'async' runs --jobs local "
+                             "workers, or the budgets in --hosts)")
     parser.add_argument("--cache-dir", default=None,
                         help="persistent experiment result store "
                              "(default: $REPRO_CACHE_DIR if set)")
@@ -314,9 +316,9 @@ def _add_orchestrator_arguments(parser: argparse.ArgumentParser) -> None:
                         help="multi-host worker budgets, e.g. "
                              "'host1:4,host2:8' (names starting with "
                              "'local' run subprocesses, others SSH; "
-                             "implies --backend multihost)")
+                             "replaces --jobs)")
     parser.add_argument("--listen", default=None,
-                        help="bind address of the multihost connect-back "
+                        help="bind address of the workers' connect-back "
                              "listener: PORT or HOST:PORT (default: an "
                              "ephemeral loopback port)")
     parser.add_argument("--connect-host", default=None,
@@ -325,7 +327,7 @@ def _add_orchestrator_arguments(parser: argparse.ArgumentParser) -> None:
                              "hostname for SSH hosts)")
     parser.add_argument("--batch", default=None,
                         help="specs per dispatch: N, 'adaptive' or "
-                             "'adaptive:N' (async/multihost pack them into "
+                             "'adaptive:N' (async workers pack them into "
                              "one run_batch frame, amortising per-spec "
                              "round-trips; serial ignores it; default: one "
                              "spec at a time)")
@@ -411,12 +413,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="local worker subprocesses (ignored with --hosts; "
                             "default 2)")
     serve.add_argument("--hosts", default=None,
-                       help="multi-host worker budgets, e.g. 'host1:4,host2:8' "
-                            "(switches the pool to the multihost backend)")
+                       help="multi-host worker budgets, e.g. "
+                            "'host1:4,host2:8' (replaces --workers)")
     serve.add_argument("--worker-listen", default=None,
-                       help="bind address of the multihost connect-back "
-                            "worker listener, PORT or HOST:PORT (distinct "
-                            "from --listen, which serves clients)")
+                       help="bind address of the workers' connect-back "
+                            "listener, PORT or HOST:PORT (distinct from "
+                            "--listen, which serves clients)")
     serve.add_argument("--connect-host", default=None,
                        help="address remote workers dial back to")
     serve.add_argument("--batch", default=None,
@@ -426,11 +428,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="result store directory — enables warm serving, "
                             "write-ahead durability and restart recovery "
                             "(default: $REPRO_CACHE_DIR if set)")
-    serve.add_argument("--store-layout", choices=list(LAYOUT_NAMES),
-                       default="directory",
-                       help="store on-disk layout: sharded 'directory' "
-                            "(default) or lock-free 'object' (object-store "
-                            "keyspace)")
     serve.add_argument("--store-max-bytes",
                        type=_bounded_int("--store-max-bytes", 1), default=None,
                        help="LRU byte budget of the store; compaction evicts "
@@ -719,14 +716,12 @@ async def _serve_async(args: argparse.Namespace) -> int:
     tenants = _parse_tenant_configs(args.tenant)
     cache_dir = args.cache_dir or os.environ.get(CACHE_DIR_ENV)
     store = (
-        ResultStore(
-            cache_dir, layout=args.store_layout, max_bytes=args.store_max_bytes
-        )
+        ResultStore(cache_dir, max_bytes=args.store_max_bytes)
         if cache_dir
         else None
     )
     backend = make_named_backend(
-        "multihost" if args.hosts else "async",
+        "async",
         workers=args.workers, store=None,
         hosts=args.hosts, listen=args.worker_listen,
         connect_host=args.connect_host, batch=args.batch,

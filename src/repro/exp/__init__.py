@@ -15,21 +15,21 @@ describes, schedules, executes and caches those experiments:
   with automatic baseline deduplication and per-spec failure isolation,
 * :mod:`repro.exp.distributed` — :class:`AsyncWorkerBackend`, the parallel
   backend: an asyncio supervisor dispatching specs to ``repro.exp.worker``
-  subprocesses over a length-prefixed JSON frame protocol
+  processes over a length-prefixed JSON frame protocol
   (:mod:`repro.exp.protocol`), with heartbeats, bounded retry/requeue on
-  worker death, graceful cancellation and batched dispatch (``batch=``:
-  several specs per ``run_batch`` frame, per-spec result acks, adaptive
-  sizing via :class:`AdaptiveBatchSizer`),
-* :mod:`repro.exp.hosts` — :class:`MultiHostBackend`, the multi-host
-  transport on top of it: a TCP listener (:class:`HostPool`) accepting
-  connect-back workers launched locally or via SSH, per-host worker
-  budgets, host-level quarantine of crash-looping machines and zlib frame
-  compression for high-latency links,
+  worker death, host-level quarantine of crash-looping machines, graceful
+  cancellation and batched dispatch (``batch=``: several specs per
+  ``run_batch`` frame, per-spec result acks, adaptive sizing via
+  :class:`AdaptiveBatchSizer`),
+* :mod:`repro.exp.hosts` — the one worker transport: a TCP listener
+  (:class:`HostPool`) accepting connect-back workers launched as local
+  subprocesses or via SSH, per-host worker budgets (:class:`HostSpec`) and
+  zlib frame compression,
 * :mod:`repro.exp.store` — the persistent on-disk :class:`ResultStore`
   (content-hash keyed, shard-per-key-prefix, advisory file locking for
-  concurrent multi-process writers; pluggable directory/object-store
-  layouts, size-bounded LRU compaction with pinning and hit/miss/eviction
-  counters for the service daemon) and its in-memory sibling.
+  concurrent multi-process writers, size-bounded LRU compaction with
+  pinning and hit/miss/eviction counters for the service daemon) and its
+  in-memory sibling.
 
 Typical use::
 
@@ -61,24 +61,14 @@ from repro.exp.distributed import (
     AsyncWorkerBackend,
     parse_batch,
 )
-from repro.exp.hosts import (
-    HostPool,
-    HostSpec,
-    MultiHostBackend,
-    parse_hosts,
-    parse_listen,
-)
+from repro.exp.hosts import HostPool, HostSpec, parse_hosts, parse_listen
 from repro.exp.runner import get_trace, run_spec
 from repro.exp.spec import ExperimentFailure, ExperimentResult, ExperimentSpec
 from repro.exp.store import (
     CACHE_DIR_ENV,
-    LAYOUT_NAMES,
-    DirectoryLayout,
     MemoryResultStore,
-    ObjectStoreLayout,
     ResultStore,
     default_store,
-    make_layout,
 )
 
 __all__ = [
@@ -91,7 +81,6 @@ __all__ = [
     "AsyncWorkerBackend",
     "AdaptiveBatchSizer",
     "parse_batch",
-    "MultiHostBackend",
     "HostPool",
     "HostSpec",
     "parse_hosts",
@@ -103,10 +92,6 @@ __all__ = [
     "get_trace",
     "ResultStore",
     "MemoryResultStore",
-    "DirectoryLayout",
-    "ObjectStoreLayout",
-    "LAYOUT_NAMES",
-    "make_layout",
     "default_store",
     "CACHE_DIR_ENV",
 ]

@@ -15,17 +15,15 @@ records failures in the store (as ``<key>.error.json`` diagnostics) and then
 either raises one aggregated :class:`ExperimentExecutionError` (default) or,
 with ``on_error="record"``, returns ``None`` at the failed positions.
 
-Three backends ship with the repository:
+Two backends ship with the repository:
 
 * :class:`SerialBackend` — in-process, one spec after another,
 * :class:`~repro.exp.distributed.AsyncWorkerBackend` — the one parallel
-  single-host backend: an asyncio supervisor over worker subprocesses
-  speaking the length-prefixed JSON protocol, with heartbeats,
-  retry/requeue on worker death and graceful cancellation,
-* :class:`~repro.exp.hosts.MultiHostBackend` — the same supervisor over
-  connect-back workers on many machines.
+  backend: an asyncio supervisor over connect-back worker processes on
+  this machine or many, speaking the length-prefixed JSON protocol, with
+  heartbeats, retry/requeue on worker death and graceful cancellation.
 
-All three are result-identical: the same spec grid produces bit-identical
+Both are result-identical: the same spec grid produces bit-identical
 results (and byte-identical store entries) regardless of the backend, worker
 count or completion order.
 """
@@ -44,7 +42,7 @@ Store = Union[ResultStore, MemoryResultStore]
 Outcome = Union[ExperimentResult, ExperimentFailure]
 
 #: Backend names accepted by :func:`make_named_backend` and the CLI.
-BACKEND_NAMES = ("auto", "serial", "async", "multihost")
+BACKEND_NAMES = ("auto", "serial", "async")
 
 
 class ExperimentExecutionError(RuntimeError):
@@ -103,71 +101,58 @@ def make_named_backend(
     connect_host: Optional[str] = None,
     batch: Union[None, int, str] = None,
 ) -> ExecutionBackend:
-    """Backend selected by name: ``auto``, ``serial``, ``async`` or
-    ``multihost``.
+    """Backend selected by name: ``auto``, ``serial`` or ``async``.
 
-    ``auto`` is ``multihost`` when ``hosts`` is given, ``async`` when
-    ``workers`` > 1 and ``serial`` otherwise.  ``async`` builds an
-    :class:`~repro.exp.distributed.AsyncWorkerBackend`; ``multihost`` builds
-    a :class:`~repro.exp.hosts.MultiHostBackend` from the ``hosts`` budget
-    string (``"host1:4,host2:8"``) and the optional ``listen`` bind address
-    (``"PORT"`` or ``"HOST:PORT"``).  For both, when ``store`` is an on-disk
+    ``auto`` is ``async`` when ``hosts`` is given or ``workers`` > 1 and
+    ``serial`` otherwise.  ``async`` builds an
+    :class:`~repro.exp.distributed.AsyncWorkerBackend` over ``workers``
+    local workers (default 2), or over the ``hosts`` budget string
+    (``"host1:4,host2:8"``) when one is given.  ``listen`` (``"PORT"`` or
+    ``"HOST:PORT"``) binds its connect-back listener and ``connect_host`` is
+    the address workers dial back to; the serial backend starts no worker
+    and rejects all three.  When ``store`` is an on-disk
     :class:`ResultStore` it is attached so completed experiments are
     streamed into it as they finish (and survive a cancelled run).
 
     ``batch`` (``N``, ``"adaptive"`` or ``"adaptive:N"``) bounds how many
-    specs one dispatch carries: the ``run_batch`` frame size of
-    ``async``/``multihost`` (adaptive sizing grows it from 1 as specs prove
-    cheap).  A serial backend executes in-process, where there is no
-    round-trip to amortise, so the knob is accepted and ignored.
+    specs one dispatch carries: the ``run_batch`` frame size of ``async``
+    (adaptive sizing grows it from 1 as specs prove cheap).  A serial
+    backend executes in-process, where there is no round-trip to amortise,
+    so the knob is accepted and ignored.
     """
     from repro.exp.distributed import parse_batch
 
     parse_batch(batch)  # validate for every name
     if name == "auto":
-        if hosts:
-            name = "multihost"
-        else:
-            name = "async" if workers is not None and workers > 1 else "serial"
-    if name != "multihost" and (hosts or listen or connect_host):
-        # Silently dropping a host list would run single-host while the
-        # caller (e.g. REPRO_BENCH_BACKEND=async REPRO_BENCH_HOSTS=...)
-        # believes the grid fanned out across machines.
-        raise ValueError(
-            "hosts/listen/connect_host only apply to the multihost backend "
-            f"(got backend {name!r})"
-        )
+        many = hosts or (workers is not None and workers > 1)
+        name = "async" if many else "serial"
+    if name not in ("serial", "async"):
+        raise ValueError(f"unknown backend {name!r} (choose from {BACKEND_NAMES})")
     if name == "serial":
-        return SerialBackend()  # in-process: no round-trip, batch is moot
-    streaming = store if isinstance(store, ResultStore) else None
-    if name == "async":
-        from repro.exp.distributed import AsyncWorkerBackend
-
-        # None defaults to 2; anything else (including 0) goes through the
-        # backend's own validation instead of being silently reinterpreted.
-        return AsyncWorkerBackend(
-            num_workers=2 if workers is None else workers,
-            batch=batch,
-            store=streaming,
-        )
-    if name == "multihost":
-        from repro.exp.hosts import MultiHostBackend, parse_listen
-
-        if not hosts:
+        if hosts or listen or connect_host:
+            # Silently dropping a host list would run in-process while the
+            # caller (e.g. REPRO_BENCH_BACKEND=serial REPRO_BENCH_HOSTS=...)
+            # believes the grid fanned out across machines.
             raise ValueError(
-                "the multihost backend needs a host list "
-                "(--hosts host1:4,host2:8)"
+                "hosts/listen/connect_host need worker processes; "
+                "the serial backend runs in-process"
             )
-        listen_host, listen_port = parse_listen(listen)
-        return MultiHostBackend(
-            hosts,
-            listen_host=listen_host,
-            listen_port=listen_port,
-            connect_host=connect_host,
-            batch=batch,
-            store=streaming,
-        )
-    raise ValueError(f"unknown backend {name!r} (choose from {BACKEND_NAMES})")
+        return SerialBackend()  # in-process: no round-trip, batch is moot
+    from repro.exp.distributed import AsyncWorkerBackend
+    from repro.exp.hosts import parse_listen
+
+    listen_host, listen_port = parse_listen(listen)
+    # With hosts, their budgets replace the worker count; without, the
+    # backend validates it (None means its default of 2).
+    return AsyncWorkerBackend(
+        num_workers=None if hosts else workers,
+        hosts=hosts or None,
+        listen_host=listen_host,
+        listen_port=listen_port,
+        connect_host=connect_host,
+        batch=batch,
+        store=store if isinstance(store, ResultStore) else None,
+    )
 
 
 def _backend_outcomes(

@@ -1,13 +1,14 @@
 """Distributed async execution backend for the experiment orchestrator.
 
 :class:`AsyncWorkerBackend` dispatches :class:`~repro.exp.spec.ExperimentSpec`
-batches over an asyncio work queue to ``repro.exp.worker`` subprocesses
-speaking the length-prefixed JSON protocol of :mod:`repro.exp.protocol` over
-their stdin/stdout pipes.  The supervisor is transport-agnostic: a
-:class:`_Worker` is just a pair of asyncio streams plus kill/wait handles, so
-the same dispatch loop drives local pipe workers here and connect-back TCP
-workers on other machines in :class:`repro.exp.hosts.MultiHostBackend`,
-which subclasses this backend and overrides only how workers are acquired.
+batches over an asyncio work queue to ``repro.exp.worker`` processes
+speaking the length-prefixed JSON protocol of :mod:`repro.exp.protocol`.
+Every worker is launched with ``--connect`` and dials back to the
+supervisor's :class:`~repro.exp.hosts.HostPool` listener, as a local
+subprocess or over SSH (:mod:`repro.exp.hosts`).  ``num_workers=N`` is one
+local host of N workers; ``hosts="host1:4,host2:8"`` names the hosts and
+their worker budgets explicitly.  Each worker is one :class:`_Worker`: a
+pair of asyncio streams plus the launcher handle that kills and reaps it.
 
 Fault model
 -----------
@@ -19,10 +20,9 @@ Fault model
   requeued (``max_retries`` times, then recorded as a failure) and the slot
   respawns a fresh worker.  A slot whose workers die repeatedly without ever
   completing a job gives up; when every slot has given up the remaining jobs
-  are failed instead of waiting forever.  (The multi-host backend adds a
-  second, host-level layer of this accounting: a *host* whose workers
-  crash-loop is quarantined and its slots retire, leaving its jobs to the
-  healthy hosts.)
+  are failed instead of waiting forever.  A second, host-level layer of
+  this accounting quarantines a *host* whose workers crash-loop: its slots
+  retire and leave their jobs to the healthy hosts.
 * **Hung workers** — the supervisor pings every worker on a heartbeat
   interval; the worker's reader thread pongs even while a simulation is
   running, so a silence longer than ``heartbeat_timeout`` means the process
@@ -62,14 +62,12 @@ worker count, batch size, scheduling or retries (see
 from __future__ import annotations
 
 import asyncio
-import os
+import secrets
 import signal
+import socket
 import sys
-from pathlib import Path
 from typing import (
-    Awaitable,
     Callable,
-    Coroutine,
     Dict,
     List,
     Optional,
@@ -80,13 +78,18 @@ from typing import (
 
 from repro.exp import protocol
 from repro.exp.backends import Outcome, Store, _raise_on_failure
+from repro.exp.hosts import (
+    DEFAULT_CONNECT_TIMEOUT,
+    HostPool,
+    HostSpec,
+    HostState,
+    LocalLauncher,
+    SSHLauncher,
+    kill_handle,
+    parse_hosts,
+)
 from repro.exp.spec import ExperimentFailure, ExperimentResult, ExperimentSpec
 
-
-#: Minimum time a freshly spawned worker gets to send its ``hello`` frame
-#: before the heartbeat monitor may declare it wedged — interpreter startup
-#: plus importing the simulation stack can take seconds on a loaded host.
-_STARTUP_GRACE = 30.0
 
 #: Batch cap used when ``batch="adaptive"`` names no explicit cap.
 DEFAULT_BATCH_CAP = 16
@@ -187,28 +190,6 @@ class SpawnError(OSError):
     """A worker could not be brought up (spawn or connect-back failed)."""
 
 
-def worker_environment(extra: Optional[Dict[str, str]] = None) -> Dict[str, str]:
-    """Environment for a worker process that can import this repro package.
-
-    Workers must import the same ``repro`` as the supervisor even when it
-    only lives on the supervisor's ``sys.path`` (src checkouts), so the
-    package root is prepended to ``PYTHONPATH``.  Shared by the local
-    subprocess transport here and the launchers of :mod:`repro.exp.hosts`.
-    """
-    env = dict(os.environ)
-    import repro
-
-    package_root = str(Path(repro.__file__).resolve().parent.parent)
-    existing = env.get("PYTHONPATH")
-    if package_root not in (existing or "").split(os.pathsep):
-        env["PYTHONPATH"] = (
-            package_root + (os.pathsep + existing if existing else "")
-        )
-    if extra:
-        env.update(extra)
-    return env
-
-
 class _Job:
     __slots__ = ("index", "spec", "key", "attempts")
 
@@ -220,111 +201,59 @@ class _Job:
 
 
 class _Worker:
-    """One live worker and its supervisor-side state, transport-agnostic.
+    """One live worker and its supervisor-side state.
 
-    A worker is a frame source (``reader``, an ``asyncio.StreamReader``), a
-    frame sink (``writer``, anything with ``write``/``drain``/``close``) and
-    a pair of process handles (``kill_process``, ``wait_process``).  The
-    subprocess transport builds one from a pipe pair
-    (:meth:`from_process`); the multi-host transport builds one from an
-    accepted TCP connection plus its launcher handle
-    (:meth:`from_connection`).
+    A worker is both ends of its accepted connect-back connection (frames
+    in on ``reader``, out on ``writer``) plus the local ``handle`` of the
+    process that launched it: the worker itself, or its ssh client.
     """
 
     def __init__(
         self,
         reader: "asyncio.StreamReader",
-        writer,
+        writer: "asyncio.StreamWriter",
+        handle: "asyncio.subprocess.Process",
         pid: int,
-        kill_process: Callable[[], None],
-        wait_process: Callable[[], Awaitable[object]],
-        host: Optional[str] = None,
-        compress_out: bool = False,
-        handshaked: bool = False,
+        host: str,
     ) -> None:
         self.reader = reader
         self.writer = writer
+        self.handle = handle
         self.pid = pid
-        self._kill_process = kill_process
-        self._wait_process = wait_process
         self.host = host
-        #: Whether frames *to* this worker may be compressed (TCP only).
-        self.compress_out = compress_out
         self.alive = True
-        self.spawned_at = asyncio.get_running_loop().time()
-        self.last_seen = self.spawned_at
-        self.handshaked = handshaked  # True once any frame (hello) arrived
+        self.last_seen = asyncio.get_running_loop().time()
         self.pending: Dict[int, "asyncio.Future[Outcome]"] = {}
         self.completed = 0
         self.reader_task: Optional["asyncio.Task"] = None
         self.monitor_task: Optional["asyncio.Task"] = None
 
-    @classmethod
-    def from_process(cls, proc: "asyncio.subprocess.Process") -> "_Worker":
-        """Worker over a subprocess's stdin/stdout pipe pair."""
-        return cls(
-            reader=proc.stdout,
-            writer=proc.stdin,
-            pid=proc.pid,
-            kill_process=proc.kill,
-            wait_process=proc.wait,
-        )
-
-    @classmethod
-    def from_connection(
-        cls,
-        reader: "asyncio.StreamReader",
-        writer: "asyncio.StreamWriter",
-        pid: int,
-        kill_process: Callable[[], None],
-        wait_process: Callable[[], Awaitable[object]],
-        host: str,
-    ) -> "_Worker":
-        """Worker over an accepted connect-back TCP stream pair.
-
-        The hello frame was already consumed (and checked) by the acceptor,
-        so the worker starts handshaked: heartbeat staleness applies
-        immediately instead of the startup grace.  Frames to it may be
-        compressed, as the worker's own frames are.
-        """
-        return cls(
-            reader=reader,
-            writer=writer,
-            pid=pid,
-            kill_process=kill_process,
-            wait_process=wait_process,
-            host=host,
-            compress_out=True,
-            handshaked=True,
-        )
-
     # ------------------------------------------------------------------
     async def send(self, message: Dict[str, object]) -> None:
-        if self.writer is None or not self.alive:
+        if not self.alive:
             raise WorkerDied(f"worker {self.pid} is gone")
         try:
-            self.writer.write(
-                protocol.encode_frame(message, compress=self.compress_out)
-            )
+            self.writer.write(protocol.encode_frame(message, compress=True))
             await self.writer.drain()
         except (OSError, ConnectionResetError, BrokenPipeError) as exc:
-            raise WorkerDied(f"worker {self.pid} pipe closed: {exc}") from exc
+            raise WorkerDied(f"worker {self.pid} connection closed: {exc}") from exc
 
     def kill(self) -> None:
         """Forcefully terminate the worker process (best effort)."""
+        # Close the connection first so the remote end sees EOF even when
+        # only the local ssh client dies, then kill the local handle.
         try:
-            self._kill_process()
-        except (OSError, ProcessLookupError):
+            self.writer.close()
+        except (OSError, RuntimeError):
             pass
+        kill_handle(self.handle)
 
     async def wait(self) -> None:
-        """Reap the worker process (or its launcher)."""
-        await self._wait_process()
+        """Reap the worker's launcher process."""
+        await self.handle.wait()
 
     def close_gracefully(self) -> None:
-        """Ask the worker to exit: shutdown frame, then close its input."""
-        if self.writer is None:
-            return
+        """Ask the worker to exit: shutdown frame, then close the connection."""
         try:
             self.writer.write(protocol.encode_frame({"type": "shutdown"}))
             self.writer.close()
@@ -333,12 +262,17 @@ class _Worker:
 
 
 class AsyncWorkerBackend:
-    """Asyncio supervisor sharding experiments over worker subprocesses.
+    """Asyncio supervisor sharding experiments over connect-back workers.
 
     Parameters
     ----------
     num_workers:
-        Number of worker subprocesses (and of concurrent experiments).
+        Worker budget of one local host (default 2).  Mutually exclusive
+        with ``hosts``.
+    hosts:
+        ``"host1:4,host2:8"``, or a sequence of such strings /
+        :class:`~repro.exp.hosts.HostSpec` objects; the budgets sum to the
+        number of concurrent workers.
     max_retries:
         How many times a job is requeued after the worker holding it died
         before it is recorded as a failure.  Failures *reported* by a live
@@ -349,6 +283,10 @@ class AsyncWorkerBackend:
     spawn_retries:
         Consecutive worker deaths (without a completed job in between) a
         slot tolerates before giving up.
+    host_quarantine_retries:
+        Consecutive worker deaths (without a completed job in between) a
+        *host* tolerates before it is quarantined; defaults to
+        ``spawn_retries``.
     batch:
         Specs per dispatch frame: ``None``/``1`` (default, one spec at a
         time), a fixed size ``N``, or ``"adaptive"`` / ``"adaptive:N"``
@@ -366,7 +304,19 @@ class AsyncWorkerBackend:
         Extra environment variables for the worker processes (tests use
         this for ``PYTHONHASHSEED`` and fault injection).
     python:
-        Interpreter to launch workers with; defaults to ``sys.executable``.
+        Interpreter to launch local workers with; defaults to
+        ``sys.executable``.
+    listen_host / listen_port:
+        Bind address of the connect-back listener.  Port ``0`` (default)
+        picks an ephemeral port; cluster deployments bind a fixed
+        ``0.0.0.0:PORT``.
+    connect_host:
+        Address workers dial back to.  Defaults to ``127.0.0.1`` for local
+        hosts and this machine's hostname for SSH hosts.
+    connect_timeout:
+        Seconds a launched worker gets to connect back.
+    ssh_command / remote_python:
+        SSH client argv prefix and interpreter for SSH hosts.
 
     The backend is synchronous to its callers (it owns its event loop via
     ``asyncio.run``), so it drops into :func:`repro.exp.run_experiments`
@@ -375,19 +325,32 @@ class AsyncWorkerBackend:
 
     def __init__(
         self,
-        num_workers: int = 2,
+        num_workers: Optional[int] = None,
         *,
+        hosts: Union[None, str, Sequence[Union[str, HostSpec]]] = None,
         max_retries: int = 2,
         heartbeat_interval: float = 5.0,
         heartbeat_timeout: Optional[float] = None,
         spawn_retries: int = 2,
+        host_quarantine_retries: Optional[int] = None,
         batch: Union[None, int, str] = None,
         store: Optional[Store] = None,
         worker_env: Optional[Dict[str, str]] = None,
         python: Optional[str] = None,
+        listen_host: str = "127.0.0.1",
+        listen_port: int = 0,
+        connect_host: Optional[str] = None,
+        connect_timeout: float = DEFAULT_CONNECT_TIMEOUT,
+        ssh_command: Sequence[str] = ("ssh", "-o", "BatchMode=yes"),
+        remote_python: str = "python3",
     ) -> None:
-        if num_workers < 1:
-            raise ValueError("num_workers must be >= 1")
+        if hosts is None:
+            workers = 2 if num_workers is None else num_workers
+            if workers < 1:
+                raise ValueError("num_workers must be >= 1")
+            hosts = [HostSpec("local", workers=workers)]
+        elif num_workers is not None:
+            raise ValueError("pass num_workers or hosts, not both")
         if max_retries < 0:
             raise ValueError("max_retries must be >= 0")
         if heartbeat_interval <= 0:
@@ -397,7 +360,8 @@ class AsyncWorkerBackend:
             # pinging; a timeout at or below the interval would kill every
             # healthy worker on its first wakeup.
             raise ValueError("heartbeat_timeout must exceed heartbeat_interval")
-        self.num_workers = num_workers
+        self.host_specs = parse_hosts(hosts)
+        self.num_workers = sum(spec.workers for spec in self.host_specs)
         self.max_retries = max_retries
         self.heartbeat_interval = heartbeat_interval
         self.heartbeat_timeout = (
@@ -405,13 +369,28 @@ class AsyncWorkerBackend:
             else 4.0 * heartbeat_interval
         )
         self.spawn_retries = spawn_retries
+        self.host_quarantine_retries = (
+            host_quarantine_retries
+            if host_quarantine_retries is not None
+            else spawn_retries
+        )
         self.batch_cap, self.batch_adaptive = parse_batch(batch)
         self.store = store
         self.worker_env = dict(worker_env) if worker_env else {}
         self.python = python
+        self.listen_host = listen_host
+        self.listen_port = listen_port
+        self.connect_host = connect_host
+        self.connect_timeout = connect_timeout
+        self.ssh_command = tuple(ssh_command)
+        self.remote_python = remote_python
         self.stats: Dict[str, int] = {}
         self._pids: set = set()
         self._workers: List[_Worker] = []
+        self._hosts: List[HostState] = []
+        self._pool: Optional[HostPool] = None
+        self._handles: List["asyncio.subprocess.Process"] = []
+        self._token_counter = 0
         self._sizer: Optional[AdaptiveBatchSizer] = None
         self._live_slots = 0
         #: Service mode (the persistent daemon): slots never give up — a
@@ -450,39 +429,106 @@ class AsyncWorkerBackend:
         """Execute ``specs``; raises if any spec ultimately failed."""
         return _raise_on_failure(self.run_outcomes(specs))
 
+    def host_snapshot(self) -> Dict[str, Dict[str, object]]:
+        """Per-host health accounting of the running (or the last) run.
+
+        The service reports it in its ``stats`` frame.
+        """
+        return {
+            host.name: {
+                "budget": host.budget,
+                "spawns": host.spawns,
+                "completed": host.completed,
+                "consecutive_deaths": host.consecutive_deaths,
+                "quarantined": host.quarantined,
+            }
+            for host in self._hosts
+        }
+
     # ------------------------------------------------------------------
     def _kill_leftovers(self) -> None:
-        """Last-resort synchronous cleanup once the event loop is gone."""
-        for pid in list(self._pids):
-            try:
-                os.kill(pid, getattr(signal, "SIGKILL", signal.SIGTERM))
-            except (OSError, ProcessLookupError):
-                pass
-            self._pids.discard(pid)
+        """Last-resort synchronous cleanup once the event loop is gone.
+
+        Launcher handles are killed by local pid; the pids of SSH workers
+        belong to other machines and are not ours to signal.
+        """
+        for handle in self._handles:
+            kill_handle(handle)
+        self._handles = []
+        self._pids.clear()
         self._workers.clear()
 
-    def _worker_environment(self) -> Dict[str, str]:
-        return worker_environment(self.worker_env)
-
-    async def _spawn_worker(self) -> _Worker:
-        proc = await asyncio.create_subprocess_exec(
-            self.python or sys.executable,
-            "-m", "repro.exp.worker",
-            stdin=asyncio.subprocess.PIPE,
-            stdout=asyncio.subprocess.PIPE,
-            env=self._worker_environment(),
+    def _launcher_for(self, spec: HostSpec):
+        if spec.is_local:
+            return LocalLauncher(python=spec.python or self.python)
+        return SSHLauncher(
+            spec.name,
+            python=spec.python or self.remote_python,
+            ssh_command=self.ssh_command,
         )
-        worker = _Worker.from_process(proc)
-        self._register_worker(worker)
-        return worker
 
-    def _register_worker(self, worker: _Worker) -> None:
-        """Track a freshly acquired worker and start its reader + monitor."""
+    def _connect_host_for(self, host: HostState) -> str:
+        if self.connect_host:
+            return self.connect_host
+        if host.spec.is_local:
+            return "127.0.0.1"
+        return socket.gethostname()
+
+    async def _spawn_host_worker(self, host: HostState) -> _Worker:
+        """Launch one worker on ``host`` and wait for its connect-back."""
+        # The random suffix makes the token unguessable: on a listener bound
+        # beyond loopback, a peer must not be able to claim a worker slot
+        # (and feed forged results into the store) by predicting tokens.
+        # The host#counter prefix is for humans reading logs.
+        token = f"{host.name}#{self._token_counter}#{secrets.token_hex(16)}"
+        self._token_counter += 1
+        future = self._pool.expect(token)
+        extra_env = dict(self.worker_env)
+        if host.spec.env:
+            extra_env.update(host.spec.env)
+        try:
+            handle = await host.launcher.launch(
+                connect_host=self._connect_host_for(host),
+                port=self._pool.port,
+                token=token,
+                env=extra_env,
+            )
+        except (OSError, ValueError) as exc:
+            self._pool.forget(token)
+            raise SpawnError(
+                f"cannot launch a worker on host {host.name!r}: {exc}"
+            ) from exc
+        self._handles.append(handle)
+        try:
+            reader, writer, hello = await asyncio.wait_for(
+                future, self.connect_timeout
+            )
+            protocol.check_hello(hello)
+        except BaseException as exc:
+            self._pool.forget(token)
+            try:
+                handle.kill()
+            except (OSError, ProcessLookupError):
+                pass
+            if isinstance(exc, asyncio.TimeoutError):
+                raise SpawnError(
+                    f"worker launched on host {host.name!r} never connected back"
+                ) from exc
+            if isinstance(exc, protocol.ProtocolError):
+                writer.close()
+                raise SpawnError(f"worker on host {host.name!r}: {exc}") from exc
+            raise  # cancellation during shutdown must propagate
+
+        worker = _Worker(
+            reader, writer, handle, pid=int(hello.get("pid") or 0), host=host.name
+        )
         self._count("spawns")
         self._pids.add(worker.pid)
         self._workers.append(worker)
         worker.reader_task = asyncio.ensure_future(self._read_worker(worker))
         worker.monitor_task = asyncio.ensure_future(self._monitor_worker(worker))
+        host.spawns += 1
+        return worker
 
     def _release_worker(self, worker: _Worker) -> None:
         worker.alive = False
@@ -497,18 +543,8 @@ class AsyncWorkerBackend:
             while True:
                 message = await protocol.read_frame_async(worker.reader)
                 worker.last_seen = loop.time()
-                worker.handshaked = True
                 kind = message.get("type")
-                if kind == "hello":
-                    try:
-                        protocol.check_hello(message)
-                    except protocol.ProtocolError:
-                        # A worker of another version is alive: kill and
-                        # reap it before its jobs requeue.
-                        worker.kill()
-                        await worker.wait()
-                        raise
-                elif kind in ("result", "error"):
+                if kind in ("result", "error"):
                     future = worker.pending.get(message.get("job"))
                     if future is not None and not future.done():
                         if kind == "result":
@@ -533,9 +569,8 @@ class AsyncWorkerBackend:
             ValueError,
         ):
             # Torn or malformed stream.  The process may well still be alive
-            # (e.g. something wrote to the real stdout and desynchronised the
-            # frames); kill it so a requeued job is not silently duplicated
-            # by an orphan twin.
+            # (a desynchronised frame stream); kill it so a requeued job is
+            # not silently duplicated by an orphan twin.
             worker.kill()
         finally:
             self._release_worker(worker)
@@ -553,22 +588,10 @@ class AsyncWorkerBackend:
             await asyncio.sleep(self.heartbeat_interval)
             if not worker.alive:
                 return
-            # Cold start (importing the simulation stack) does not count
-            # against the heartbeat; before the hello frame only the far
-            # more generous startup deadline applies.
-            if worker.handshaked:
-                silent = loop.time() - worker.last_seen > self.heartbeat_timeout
-            else:
-                silent = (
-                    loop.time() - worker.spawned_at
-                    > max(self.heartbeat_timeout, _STARTUP_GRACE)
-                )
-            if silent:
+            if loop.time() - worker.last_seen > self.heartbeat_timeout:
                 self._count("heartbeat_kills")
                 worker.kill()
                 return  # the reader's EOF turns this into the death path
-            if not worker.handshaked:
-                continue
             sequence += 1
             try:
                 await worker.send({"type": "ping", "seq": sequence})
@@ -602,7 +625,7 @@ class AsyncWorkerBackend:
         worker: _Worker,
         jobs: List[_Job],
         finish: Callable[[_Job, Outcome], None],
-        host,
+        host: HostState,
     ) -> "Tuple[List[_Job], bool]":
         """Dispatch ``jobs`` to one live worker; ``(died_jobs, any_completed)``.
 
@@ -640,7 +663,7 @@ class AsyncWorkerBackend:
                     self.stats.get("max_batch", 0), len(jobs)
                 )
             except WorkerDied as lost:
-                # The pipe broke mid-send.  The worker may have answered
+                # The connection broke mid-send.  The worker may have answered
                 # earlier jobs of this dispatch before dying, and those
                 # result frames can still sit unparsed in the reader's
                 # buffer — let the reader drain to EOF first (its exit
@@ -669,8 +692,7 @@ class AsyncWorkerBackend:
                     continue
                 completed += 1
                 worker.completed += 1
-                if host is not None:
-                    host.record_success()
+                host.record_success()
                 if isinstance(outcome, ExperimentFailure):
                     outcome.attempts = job.attempts + 1
                 finish(job, outcome)
@@ -685,21 +707,17 @@ class AsyncWorkerBackend:
         self,
         queue: "asyncio.Queue[_Job]",
         finish: Callable[[_Job, Outcome], None],
-        spawn: Optional[Callable[[], Awaitable[_Worker]]] = None,
-        host=None,
+        host: HostState,
     ) -> None:
-        """One dispatch loop: owns (at most) one live worker at a time.
+        """One dispatch loop: owns (at most) one live worker on ``host``.
 
-        ``spawn`` acquires a fresh worker (defaults to the local subprocess
-        transport) and ``host`` is the optional host-accounting object of
-        the multi-host backend: its ``record_death``/``record_success``
-        methods aggregate failures across every slot of one machine, and a
+        The host's ``record_death``/``record_success`` aggregate failures
+        across every slot of one machine, and outside service mode a
         quarantined host retires its slots (requeueing any job in hand) so
         the remaining hosts drain the queue.
         """
-        spawn = spawn if spawn is not None else self._spawn_worker
         try:
-            await self._dispatch_loop(queue, finish, spawn, host)
+            await self._dispatch_loop(queue, finish, host)
         finally:
             # However this slot ends (retirement, give-up, cancellation),
             # the fair-share denominator follows the surviving slots.
@@ -709,8 +727,7 @@ class AsyncWorkerBackend:
         self,
         queue: "asyncio.Queue[_Job]",
         finish: Callable[[_Job, Outcome], None],
-        spawn: Callable[[], Awaitable[_Worker]],
-        host,
+        host: HostState,
     ) -> None:
         """The body of one slot: spawn, dispatch batches, handle deaths."""
         worker: Optional[_Worker] = None
@@ -727,7 +744,7 @@ class AsyncWorkerBackend:
                     jobs.append(queue.get_nowait())
                 except asyncio.QueueEmpty:
                     break
-            if host is not None and host.quarantined:
+            if self._retired(host):
                 for requeued in jobs:
                     queue.put_nowait(requeued)
                 # A sibling slot's deaths quarantined the host while this
@@ -739,7 +756,7 @@ class AsyncWorkerBackend:
                 return
             if worker is None or not worker.alive:
                 try:
-                    worker = await spawn()
+                    worker = await self._spawn_host_worker(host)
                 except (OSError, ValueError) as exc:
                     consecutive_deaths += 1
                     for requeued in jobs:  # spawn failure is not the jobs' fault
@@ -813,13 +830,19 @@ class AsyncWorkerBackend:
                 self._count("slot_backoffs")
                 await asyncio.sleep(self._backoff_delay(consecutive_deaths))
 
-    def _record_host_death(self, host) -> bool:
+    def _record_host_death(self, host: HostState) -> bool:
         """Feed one worker death into ``host``; True when the slot must retire."""
-        if host is None:
-            return False
         if host.record_death():
             self._count("hosts_quarantined")
-        return host.quarantined
+        return self._retired(host)
+
+    def _retired(self, host: HostState) -> bool:
+        """Whether ``host``'s slots stop: it is quarantined, outside service mode.
+
+        A service never retires a host's slots (they back off instead), so
+        a daemon whose only host crash-loops still heals.
+        """
+        return host.quarantined and not self._service_mode
 
     def _backoff_delay(self, consecutive_deaths: int) -> float:
         """Service-mode retry delay once a slot exceeds its spawn budget.
@@ -835,16 +858,15 @@ class AsyncWorkerBackend:
         """Forgive a supervisor-side event-loop stall of ``ended - started``.
 
         A synchronous call on the event loop (a shard-locked store write on
-        a slow filesystem, say) freezes frame reading: no pongs or hellos
-        arrive while it runs.  When the stall exceeded half a heartbeat
-        interval, restart every worker's staleness and startup clock so
-        healthy workers are not killed for the supervisor's own pause.  Used
-        by the streaming ``finish`` here and by the service daemon's.
+        a slow filesystem, say) freezes frame reading: no pongs arrive while
+        it runs.  When the stall exceeded half a heartbeat interval, restart
+        every worker's staleness clock so healthy workers are not killed for
+        the supervisor's own pause.  Used by the streaming ``finish`` here
+        and by the service daemon's.
         """
         if ended - started > self.heartbeat_interval / 2:
             for other in self._workers:
                 other.last_seen = max(other.last_seen, ended)
-                other.spawned_at = max(other.spawned_at, ended)
 
     # ------------------------------------------------------------------
     # Service mode: a persistent daemon (repro.serve) runs the pool against
@@ -868,32 +890,13 @@ class AsyncWorkerBackend:
         if self._service_tasks:
             raise RuntimeError("service already started")
         self._service_mode = True
-        self.stats = {}
-        self._workers = []
-        self._pids = set()
-        self._sizer = (
-            AdaptiveBatchSizer(self.batch_cap) if self.batch_adaptive else None
-        )
-        await self._startup()
-        coroutines = self._slot_coroutines(queue, finish, self.num_workers)
-        self._service_tasks = [
-            asyncio.ensure_future(coroutine) for coroutine in coroutines
-        ]
-        self._live_slots = len(self._service_tasks)
+        self._service_tasks = await self._start_slots(queue, finish)
 
     async def stop_service(self) -> None:
         """Stop the slots, reap every worker and release the transport."""
         tasks, self._service_tasks = self._service_tasks, []
-        for task in tasks:
-            task.cancel()
-        for task in tasks:
-            try:
-                await task
-            except BaseException:
-                pass
         try:
-            await self._shutdown_workers()
-            await self._teardown()
+            await self._stop_slots(tasks)
         finally:
             self._service_mode = False
 
@@ -906,23 +909,59 @@ class AsyncWorkerBackend:
         }
 
     # ------------------------------------------------------------------
-    async def _startup(self) -> None:
-        """Transport setup before any slot runs (multi-host: the listener)."""
-
-    async def _teardown(self) -> None:
-        """Transport cleanup after every worker was reaped."""
-
-    def _slot_coroutines(
+    async def _start_slots(
         self,
         queue: "asyncio.Queue[_Job]",
         finish: Callable[[_Job, Outcome], None],
-        num_jobs: int,
-    ) -> List[Coroutine]:
-        """Dispatch-loop coroutines to run; one per concurrent worker."""
-        return [
-            self._worker_slot(queue, finish)
-            for _ in range(min(self.num_workers, num_jobs))
+    ) -> List["asyncio.Task"]:
+        """Reset the run state, open the listener and start every slot.
+
+        One slot per unit of host budget.  A slot spawns its worker only
+        once it holds a job, so slots beyond the number of jobs cost no
+        process.
+        """
+        self.stats = {}
+        self._workers = []
+        self._pids = set()
+        self._handles = []
+        self._token_counter = 0
+        self._sizer = (
+            AdaptiveBatchSizer(self.batch_cap) if self.batch_adaptive else None
+        )
+        self._hosts = [
+            HostState(spec, self._launcher_for(spec), self.host_quarantine_retries)
+            for spec in self.host_specs
         ]
+        self._pool = HostPool(self.listen_host, self.listen_port)
+        await self._pool.start()
+        slots = [
+            asyncio.ensure_future(self._worker_slot(queue, finish, host))
+            for host in self._hosts
+            for _ in range(host.budget)
+        ]
+        self._live_slots = len(slots)
+        return slots
+
+    async def _stop_slots(self, slots: List["asyncio.Task"]) -> None:
+        """Cancel ``slots``, reap every worker and launcher, close the listener."""
+        for slot in slots:
+            slot.cancel()
+        for slot in slots:
+            try:
+                await slot
+            except BaseException:
+                pass
+        await self._shutdown_workers()
+        if self._pool is not None:
+            await self._pool.close()
+            self._pool = None
+        for handle in self._handles:
+            kill_handle(handle)
+            try:
+                await asyncio.wait_for(handle.wait(), timeout=5.0)
+            except BaseException:  # pragma: no cover - unreapable child
+                pass
+        self._handles = []
 
     async def _shutdown_workers(self) -> None:
         """Terminate and reap every live worker; tolerate cancellation.
@@ -930,10 +969,10 @@ class AsyncWorkerBackend:
         The reader tasks are deliberately left running until each worker is
         reaped: a worker holding a deep batch may have many unread result
         frames in flight, and with nobody consuming them the stream's flow
-        control pauses the pipe transport before its EOF — after which the
-        process's ``wait()`` can never resolve.  The readers drain those
-        frames (harmlessly: the futures are already settled) and see the
-        EOF that lets the transport close.
+        control stops reading the connection — the worker then blocks on a
+        full socket and its process's ``wait()`` can never resolve.  The
+        readers drain those frames (harmlessly: the futures are already
+        settled) and see the EOF of the worker's exit.
         """
         workers = list(self._workers)
         for worker in workers:
@@ -960,14 +999,6 @@ class AsyncWorkerBackend:
     async def _supervise(self, specs: Sequence[ExperimentSpec]) -> List[Outcome]:
         """Run unique ``specs`` to completion; one outcome per spec, in order."""
         loop = asyncio.get_running_loop()
-        self.stats = {}
-        self._workers = []
-        self._pids = set()
-        self._sizer = (
-            AdaptiveBatchSizer(self.batch_cap) if self.batch_adaptive else None
-        )
-        self._live_slots = 0
-
         queue: "asyncio.Queue[_Job]" = asyncio.Queue()
         jobs = [
             _Job(index, spec, spec.content_key())
@@ -1047,12 +1078,7 @@ class AsyncWorkerBackend:
             done.set()
 
         try:
-            await self._startup()
-            slots.extend(
-                asyncio.ensure_future(coroutine)
-                for coroutine in self._slot_coroutines(queue, finish, len(jobs))
-            )
-            self._live_slots = len(slots)
+            slots.extend(await self._start_slots(queue, finish))
             for slot in slots:
                 slot.add_done_callback(on_slot_done)
             await done.wait()
@@ -1063,15 +1089,7 @@ class AsyncWorkerBackend:
             shutting_down = True
             if sigint_installed:
                 loop.remove_signal_handler(signal.SIGINT)
-            for slot in slots:
-                slot.cancel()
-            for slot in slots:
-                try:
-                    await slot
-                except BaseException:
-                    pass
-            await self._shutdown_workers()
-            await self._teardown()
+            await self._stop_slots(slots)
 
         if interrupted:
             raise KeyboardInterrupt

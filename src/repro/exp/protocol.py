@@ -1,12 +1,11 @@
 """Length-prefixed JSON framing shared by the async supervisor and workers.
 
-The distributed backend (:mod:`repro.exp.distributed`), the multi-host
+The distributed backend (:mod:`repro.exp.distributed`), its worker
 transport (:mod:`repro.exp.hosts`) and the worker entrypoint
 (:mod:`repro.exp.worker`) exchange *frames*: a 4-byte big-endian header
-followed by a UTF-8 JSON object.  The framing is transport-agnostic — the
-same bytes flow over subprocess pipes, TCP sockets and SSH channels — which
-is why the worker accepts ``--connect HOST PORT`` in addition to its default
-stdio mode.
+followed by a UTF-8 JSON object.  Workers connect back to the supervisor
+(``--connect HOST PORT``) and the frames flow over that TCP socket, whether
+the worker is a local subprocess or runs on another host.
 
 Compression
 -----------
@@ -16,10 +15,9 @@ remaining 31 bits are the on-wire payload length (well above
 both forms.  Encoders only compress when asked to (``compress=True``) *and*
 the payload is large enough to plausibly win
 (:data:`COMPRESS_MIN_BYTES`) *and* compression actually shrinks it —
-heartbeat pings therefore always travel uncompressed.  The transport decides
-who asks: a ``--connect`` worker and the supervisor's frames to it may
-compress (TCP links can be slow), a stdio worker never does (its link is a
-local pipe, where compression never pays).  Nothing is negotiated.
+heartbeat pings therefore always travel uncompressed.  The supervisor and
+its workers ask on every frame they exchange; the service's client frames
+never ask.  Nothing is negotiated.
 
 Batching
 --------
@@ -34,7 +32,7 @@ Versioning
 ----------
 Workers and supervisors ship from one source tree, so there is no
 capability negotiation: :func:`check_hello` rejects a worker whose ``hello``
-announces any other :data:`PROTOCOL_VERSION`, on every transport.
+announces any other :data:`PROTOCOL_VERSION` when it connects back.
 
 Frame types
 -----------
@@ -50,9 +48,9 @@ Supervisor to worker:
 Worker to supervisor:
 
 * ``{"type": "hello", "pid": <int>, "protocol": <int>[, "token": <str>]}`` —
-  sent once on startup.  The ``token`` echoes ``--token`` and lets a
-  multi-host supervisor match the inbound TCP connection to the launch that
-  created it.
+  sent once on startup.  The ``token`` echoes ``--token`` and lets the
+  supervisor match the inbound TCP connection to the launch that created
+  it.
 * ``{"type": "result", "job": <int>, "result": <ExperimentResult.to_dict()>}``
 * ``{"type": "error", "job": <int>, "error": <ExperimentFailure.to_dict()>}``
   — the spec raised; the worker stays alive and takes the next job.
@@ -124,9 +122,8 @@ from typing import BinaryIO, Dict, Optional
 #: incompatible change to the frame vocabulary above.  Version 2 added the
 #: compressed-frame header bit, version 3 the ``run_batch`` frame and
 #: version 4 the client/daemon service vocabulary.  Version 5 dropped the
-#: single-spec ``run`` frame and all capability negotiation: compression
-#: follows the transport and a peer of any other version is rejected
-#: (:func:`check_hello`).
+#: single-spec ``run`` frame and all capability negotiation: a peer of any
+#: other version is rejected (:func:`check_hello`).
 PROTOCOL_VERSION = 5
 
 #: Upper bound on a single frame payload (compressed or decompressed); a

@@ -1,7 +1,8 @@
 """Persistent and in-memory experiment result stores.
 
 The :class:`ResultStore` is an on-disk JSON cache keyed by the spec content
-key.  Entries are written atomically (temp file + ``os.replace``) under a
+key: each entry is ``<dir>/<ab>/<key>.json``, sharded by the key's first two
+hex digits.  Entries are written atomically (temp file + ``os.replace``) under a
 per-shard advisory file lock (``fcntl.flock``), so concurrent multi-process —
 and, via a shared filesystem, multi-host — writers cannot corrupt entries or
 interleave half-written JSON.  Re-running a figure or sweep with unchanged
@@ -19,23 +20,6 @@ Two properties keep concurrent stores byte-identical to a serial run:
 Failed specs are recorded as ``<key>.error.json`` diagnostics
 (:meth:`ResultStore.record_failure`); they are never served as cached
 results, so a re-run retries the spec instead of replaying the failure.
-
-Layouts
--------
-*Where* entries live on disk is pluggable (``layout=``):
-
-* :class:`DirectoryLayout` (default) — the historical sharded layout,
-  ``<dir>/<ab>/<key>.json`` with per-shard ``flock`` advisory locking and a
-  fallback to pre-sharding flat entries directly in ``<dir>``.
-* :class:`ObjectStoreLayout` — an object-store-shaped keyspace,
-  ``<dir>/objects/<ab>/<cd>/<key>.json``.  Object stores have neither
-  ``flock`` nor a legacy flat namespace, so this layout takes no advisory
-  locks (writes are still atomic whole-object replacements, and racing
-  ``put_if_absent`` writers converge because payloads are normalised — the
-  last write is byte-identical to the first) and never consults a flat
-  fallback.  It is the on-disk shape a future remote object-store backend
-  serialises to, which is why the simulation service can point read replicas
-  at it without workers in the loop.
 
 Serving-grade accounting
 ------------------------
@@ -94,88 +78,6 @@ def _normalised_payload(spec: ExperimentSpec, result: ExperimentResult) -> str:
     result_dict["wall_seconds"] = None
     payload = {"spec": spec.to_dict(), "result": result_dict}
     return json.dumps(payload, sort_keys=True, indent=1)
-
-
-# ----------------------------------------------------------------------
-class DirectoryLayout:
-    """The historical sharded directory layout: ``<ab>/<key>.json``.
-
-    Uses per-shard ``flock`` advisory locks and falls back to pre-sharding
-    flat entries written directly into the store directory.
-    """
-
-    name = "directory"
-    #: Whether writers serialise through per-shard advisory locks.
-    uses_locks = True
-    #: Whether pre-sharding flat entries in the root are consulted.
-    legacy_flat = True
-
-    def entry_relpath(self, key: str) -> str:
-        return f"{key[:SHARD_DIGITS]}/{key}.json"
-
-    def failure_relpath(self, key: str) -> str:
-        return f"{key[:SHARD_DIGITS]}/{key}{_ERROR_SUFFIX}"
-
-    def lock_name(self, key: str) -> str:
-        return key[:SHARD_DIGITS]
-
-    def iter_entries(self, directory: Path) -> Iterator[Path]:
-        """All result entry files, excluding temp and failure files."""
-        # pathlib's glob matches dotfiles, so exclude the ".tmp-*.json" files
-        # an interrupted put() may leave behind, and the ".locks" directory.
-        for pattern in ("*.json", "[0-9a-f]" * SHARD_DIGITS + "/*.json"):
-            for path in directory.glob(pattern):
-                if path.name.startswith(".") or path.name.endswith(_ERROR_SUFFIX):
-                    continue
-                yield path
-
-
-class ObjectStoreLayout:
-    """Object-store-shaped keyspace: ``objects/<ab>/<cd>/<key>.json``.
-
-    Object stores offer atomic whole-object PUTs but no advisory locks and
-    no legacy flat namespace, so this layout takes none: ``put_if_absent``
-    degrades to check-then-write, which still converges because entry
-    payloads are normalised (every winner writes the same bytes).
-    """
-
-    name = "object"
-    uses_locks = False
-    legacy_flat = False
-
-    def entry_relpath(self, key: str) -> str:
-        return f"objects/{key[:2]}/{key[2:4]}/{key}.json"
-
-    def failure_relpath(self, key: str) -> str:
-        return f"objects/{key[:2]}/{key[2:4]}/{key}{_ERROR_SUFFIX}"
-
-    def lock_name(self, key: str) -> str:  # pragma: no cover - never locked
-        return key[:2]
-
-    def iter_entries(self, directory: Path) -> Iterator[Path]:
-        for path in directory.glob("objects/*/*/*.json"):
-            if path.name.startswith(".") or path.name.endswith(_ERROR_SUFFIX):
-                continue
-            yield path
-
-
-#: Layout names accepted by :class:`ResultStore` and the CLI.
-LAYOUT_NAMES = ("directory", "object")
-
-
-def make_layout(layout: Union[None, str, DirectoryLayout, ObjectStoreLayout]):
-    """Resolve a layout argument (name, instance or ``None``) to an instance."""
-    if layout is None:
-        return DirectoryLayout()
-    if isinstance(layout, str):
-        if layout == "directory":
-            return DirectoryLayout()
-        if layout == "object":
-            return ObjectStoreLayout()
-        raise ValueError(
-            f"unknown store layout {layout!r} (choose from {LAYOUT_NAMES})"
-        )
-    return layout
 
 
 class MemoryResultStore:
@@ -294,11 +196,6 @@ class ResultStore:
     ----------
     directory:
         Cache directory; created on first write.
-    layout:
-        Where entries live under ``directory``: ``"directory"`` (default,
-        the sharded ``<ab>/<key>.json`` layout with per-shard locking and
-        the pre-sharding flat fallback) or ``"object"`` (an object-store
-        keyspace, lock-free).  A layout instance is accepted too.
     max_bytes:
         Optional LRU byte budget over the result entries.  :meth:`get`
         refreshes recency (mtime), :meth:`compact` evicts least recently
@@ -311,13 +208,11 @@ class ResultStore:
         self,
         directory: Union[str, Path],
         *,
-        layout: Union[None, str, DirectoryLayout, ObjectStoreLayout] = None,
         max_bytes: Optional[int] = None,
     ) -> None:
         if max_bytes is not None and max_bytes < 1:
             raise ValueError("max_bytes must be >= 1")
         self.directory = Path(directory).expanduser()
-        self.layout = make_layout(layout)
         self.max_bytes = max_bytes
         self.hits = 0
         self.misses = 0
@@ -335,22 +230,22 @@ class ResultStore:
         return key[:SHARD_DIGITS]
 
     def _path(self, spec: ExperimentSpec) -> Path:
-        return self.directory / self.layout.entry_relpath(spec.content_key())
+        return self._key_path(spec.content_key())
 
     def _key_path(self, key: str) -> Path:
-        return self.directory / self.layout.entry_relpath(key)
-
-    def _legacy_path(self, spec: ExperimentSpec) -> Path:
-        return self.directory / f"{spec.content_key()}.json"
+        return self.directory / self.shard(key) / f"{key}.json"
 
     def _failure_path(self, spec: ExperimentSpec) -> Path:
-        return self.directory / self.layout.failure_relpath(spec.content_key())
+        key = spec.content_key()
+        return self.directory / self.shard(key) / f"{key}{_ERROR_SUFFIX}"
 
     def _entry_files(self) -> Iterator[Path]:
         """All result entry files, excluding temp and failure files."""
-        if not self.directory.is_dir():
-            return
-        for path in self.layout.iter_entries(self.directory):
+        # pathlib's glob matches dotfiles, so exclude the ".tmp-*.json" files
+        # an interrupted put() may leave behind.
+        for path in self.directory.glob("[0-9a-f]" * SHARD_DIGITS + "/*.json"):
+            if path.name.startswith(".") or path.name.endswith(_ERROR_SUFFIX):
+                continue
             yield path
 
     def __len__(self) -> int:
@@ -387,15 +282,14 @@ class ResultStore:
         hosts sharing the filesystem, where the filesystem supports ``flock``
         semantics).  Readers never take it: entries are only ever replaced
         atomically, so a reader sees either the old or the new complete file.
-        On platforms without ``fcntl``, and under the lock-free object-store
-        layout, this is a no-op.
+        On platforms without ``fcntl`` this is a no-op.
         """
-        if fcntl is None or not self.layout.uses_locks:
+        if fcntl is None:
             yield
             return
         lock_dir = self.directory / ".locks"
         lock_dir.mkdir(parents=True, exist_ok=True)
-        lock_path = lock_dir / f"{self.layout.lock_name(key)}.lock"
+        lock_path = lock_dir / f"{self.shard(key)}.lock"
         with open(lock_path, "w", encoding="utf-8") as handle:
             fcntl.flock(handle.fileno(), fcntl.LOCK_EX)
             try:
@@ -436,25 +330,21 @@ class ResultStore:
         is the recency signal :meth:`compact` evicts by — a warm entry the
         daemon keeps serving stays resident while cold ones age out.
         """
-        paths = [self._path(spec)]
-        if self.layout.legacy_flat:
-            paths.append(self._legacy_path(spec))
-        for path in paths:
+        path = self._path(spec)
+        try:
+            payload = json.loads(path.read_text(encoding="utf-8"))
+            result = ExperimentResult.from_dict(payload["result"])
+        except (OSError, ValueError, KeyError, TypeError):
+            self.misses += 1
+            return None
+        result.wall_seconds = None
+        self.hits += 1
+        if self.max_bytes is not None:
             try:
-                payload = json.loads(path.read_text(encoding="utf-8"))
-                result = ExperimentResult.from_dict(payload["result"])
-            except (OSError, ValueError, KeyError, TypeError):
-                continue
-            result.wall_seconds = None
-            self.hits += 1
-            if self.max_bytes is not None:
-                try:
-                    os.utime(path)
-                except OSError:  # pragma: no cover - raced with eviction
-                    pass
-            return result
-        self.misses += 1
-        return None
+                os.utime(path)
+            except OSError:  # pragma: no cover - raced with eviction
+                pass
+        return result
 
     def put(self, spec: ExperimentSpec, result: ExperimentResult) -> None:
         """Persist ``result`` atomically under ``spec``'s content key.
@@ -469,9 +359,6 @@ class ResultStore:
         with self.lock(key):
             self._write_atomically(self._path(spec), text)
             self._failure_path(spec).unlink(missing_ok=True)
-            if self.layout.legacy_flat:
-                # A pre-sharding flat entry would otherwise shadow-count forever.
-                self._legacy_path(spec).unlink(missing_ok=True)
         self._note_written(len(text))
 
     @staticmethod
@@ -490,8 +377,7 @@ class ResultStore:
         writers: the check and the write happen under the shard lock, so of N
         racing processes exactly one writes the entry.  A corrupt existing
         entry (which :meth:`get` treats as a miss) counts as absent and is
-        replaced, so the store never wedges on a damaged file; entries in the
-        legacy flat layout count as present.
+        replaced, so the store never wedges on a damaged file.
 
         The spec's stale ``<key>.error.json`` diagnostic (if any) is removed
         on *both* paths: the spec demonstrably succeeds now, and without the
@@ -502,18 +388,12 @@ class ResultStore:
         key = spec.content_key()
         path = self._path(spec)
         with self.lock(key):
-            present = self._entry_is_valid(path) or (
-                self.layout.legacy_flat
-                and self._entry_is_valid(self._legacy_path(spec))
-            )
-            if present:
+            if self._entry_is_valid(path):
                 self._failure_path(spec).unlink(missing_ok=True)
                 return False
             text = _normalised_payload(spec, result)
             self._write_atomically(path, text)
             self._failure_path(spec).unlink(missing_ok=True)
-            if self.layout.legacy_flat:
-                self._legacy_path(spec).unlink(missing_ok=True)
         self._note_written(len(text))
         return True
 
@@ -622,7 +502,7 @@ class ResultStore:
             entries += 1
             total += self._entry_size(path)
         return {
-            "layout": self.layout.name,
+            "layout": "directory",
             "entries": entries,
             "bytes": total,
             "pinned": len(self._pins),

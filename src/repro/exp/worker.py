@@ -1,16 +1,15 @@
 """Experiment worker process (``python -m repro.exp.worker``).
 
-A worker speaks the length-prefixed JSON protocol of
-:mod:`repro.exp.protocol` over its stdin/stdout pipes (default) or over a TCP
-socket (``--connect HOST PORT``), which is what lets the same entrypoint run
-on a remote host behind ``ssh host python -m repro.exp.worker`` without a new
-protocol.  In connect mode the initial TCP connect is retried with
-exponential backoff (``--connect-retries`` / ``--connect-backoff``), so
-workers launched before the supervisor's listener is up still join instead of
-dying on the first refused connection; ``--token`` is echoed in the ``hello``
-frame so a multi-host supervisor can match the inbound connection to the
-launch that created it.  A connect-back worker compresses the large frames
-it sends (results cross real networks); a stdio worker never does.
+A worker connects back to its supervisor's listener (``--connect HOST
+PORT``, required) and speaks the length-prefixed JSON protocol of
+:mod:`repro.exp.protocol` over that TCP socket, so the same entrypoint runs
+as a local subprocess or on a remote host behind ``ssh host python -m
+repro.exp.worker``.  The initial TCP connect is retried with exponential
+backoff (``--connect-retries`` / ``--connect-backoff``), so workers launched
+before the supervisor's listener is up still join instead of dying on the
+first refused connection; ``--token`` is echoed in the ``hello`` frame so
+the supervisor can match the inbound connection to the launch that created
+it.  The large frames a worker sends are compressed when that pays.
 
 Two threads cooperate:
 
@@ -27,8 +26,8 @@ Two threads cooperate:
   that raises produces an ``error`` frame and the worker stays alive.
 
 Stray ``print`` calls anywhere in the simulation stack cannot corrupt the
-frame stream: in stdio mode ``sys.stdout`` is rebound to stderr before any
-job runs, and all frame writes go through one lock-guarded writer.
+frame stream: frames travel over the socket, never stdout, and all frame
+writes go through one lock-guarded writer.
 
 Fault injection (tests only): the ``REPRO_EXP_WORKER_FAULT`` environment
 variable, formatted ``<key-prefix>:<flag-file>[:<mode>]``, makes the worker
@@ -47,7 +46,7 @@ Two more test/benchmark-only hooks share that spirit:
   prove that acknowledged specs are never executed twice.
 * ``REPRO_EXP_WORKER_DELAY=<seconds>`` sleeps before every frame write and
   after every frame read — a simulated per-frame link latency, which is what
-  makes round-trip amortisation measurable on a loopback pipe.
+  makes round-trip amortisation measurable on a loopback connection.
 """
 
 from __future__ import annotations
@@ -87,17 +86,16 @@ _CONNECT_BACKOFF_CAP = 2.0
 class _FrameWriter:
     """Serialises frame writes from the main and reader threads."""
 
-    def __init__(self, stream: BinaryIO, delay: float, compress: bool) -> None:
+    def __init__(self, stream: BinaryIO, delay: float) -> None:
         self._stream = stream
         self._lock = threading.Lock()
         self._delay = delay
-        self.compress = compress
 
     def send(self, message: Dict[str, object]) -> None:
         with self._lock:
             if self._delay:
                 time.sleep(self._delay)
-            protocol.write_frame(self._stream, message, compress=self.compress)
+            protocol.write_frame(self._stream, message, compress=True)
 
 
 def _frame_delay() -> float:
@@ -144,15 +142,10 @@ def serve(
     reader_stream: BinaryIO,
     writer_stream: BinaryIO,
     token: Optional[str] = None,
-    compress: bool = False,
 ) -> None:
-    """Serve the worker protocol until ``shutdown`` or EOF.
-
-    ``compress`` lets the large frames this worker sends be zlib-compressed;
-    the connect-back transport turns it on, the stdio transport leaves it off.
-    """
+    """Serve the worker protocol until ``shutdown`` or EOF."""
     delay = _frame_delay()
-    out = _FrameWriter(writer_stream, delay, compress)
+    out = _FrameWriter(writer_stream, delay)
     hello: Dict[str, object] = {
         "type": "hello",
         "pid": os.getpid(),
@@ -267,8 +260,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         description="experiment worker speaking the repro.exp frame protocol",
     )
     parser.add_argument(
-        "--connect", nargs=2, metavar=("HOST", "PORT"), default=None,
-        help="connect to a supervisor socket instead of using stdin/stdout",
+        "--connect", nargs=2, metavar=("HOST", "PORT"), required=True,
+        help="supervisor listener to connect back to",
     )
     parser.add_argument(
         "--connect-retries", type=int, default=DEFAULT_CONNECT_RETRIES,
@@ -283,35 +276,26 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     parser.add_argument(
         "--token", default=None,
-        help="opaque launch token echoed in the hello frame (multi-host "
-             "supervisors use it to match connections to launches)",
+        help="opaque launch token echoed in the hello frame (the "
+             "supervisor uses it to match connections to launches)",
     )
     args = parser.parse_args(argv)
 
-    if args.connect is not None:
-        host, port = args.connect
-        try:
-            connection = connect_with_retry(
-                host, int(port),
-                retries=max(0, args.connect_retries),
-                backoff=max(0.0, args.connect_backoff),
-            )
-        except OSError as exc:
-            print(f"repro.exp.worker: cannot reach supervisor "
-                  f"{host}:{port}: {exc}", file=sys.stderr)
-            return 1
-        with connection:
-            with connection.makefile("rb") as reader_stream, \
-                    connection.makefile("wb") as writer_stream:
-                serve(reader_stream, writer_stream, token=args.token,
-                      compress=True)
-        return 0
-
-    reader_stream = sys.stdin.buffer
-    writer_stream = sys.stdout.buffer
-    # Frames own the real stdout; reroute stray prints to stderr.
-    sys.stdout = sys.stderr
-    serve(reader_stream, writer_stream, token=args.token)
+    host, port = args.connect
+    try:
+        connection = connect_with_retry(
+            host, int(port),
+            retries=max(0, args.connect_retries),
+            backoff=max(0.0, args.connect_backoff),
+        )
+    except OSError as exc:
+        print(f"repro.exp.worker: cannot reach supervisor "
+              f"{host}:{port}: {exc}", file=sys.stderr)
+        return 1
+    with connection:
+        with connection.makefile("rb") as reader_stream, \
+                connection.makefile("wb") as writer_stream:
+            serve(reader_stream, writer_stream, token=args.token)
     return 0
 
 

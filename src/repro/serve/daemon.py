@@ -1,9 +1,8 @@
 """The persistent simulation service daemon.
 
-:class:`SimulationService` owns a long-lived worker pool
-(:class:`~repro.exp.distributed.AsyncWorkerBackend` or
-:class:`~repro.exp.hosts.MultiHostBackend` in service mode) and accepts
-client connections over the protocol-v4 service frames of
+:class:`SimulationService` owns a long-lived worker pool (an
+:class:`~repro.exp.distributed.AsyncWorkerBackend` in service mode) and
+accepts client connections over the protocol-v4 service frames of
 :mod:`repro.exp.protocol` (``submit`` / ``status`` / ``watch`` / ``cancel``
 / ``stats``).  A *job* is a batch of :class:`~repro.exp.spec.ExperimentSpec`
 submitted under a tenant id; its specs become units of the
@@ -218,7 +217,7 @@ class SimulationService:
     Parameters
     ----------
     backend:
-        An :class:`AsyncWorkerBackend` (or subclass) constructed *without*
+        An :class:`AsyncWorkerBackend` constructed *without*
         a store — the daemon owns all store writes so the write-ahead
         ordering holds.
     store:
@@ -541,10 +540,8 @@ class SimulationService:
             "queue": self.queue.stats(),
             "store": self.store.stats() if self.store is not None else None,
             "dispatch": self.backend.dispatch_snapshot(),
+            "hosts": self.backend.host_snapshot(),
         }
-        host_snapshot = getattr(self.backend, "host_snapshot", None)
-        if host_snapshot is not None:
-            report["hosts"] = host_snapshot()
         return report
 
     # ------------------------------------------------------------------

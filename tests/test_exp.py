@@ -373,23 +373,6 @@ class TestResultStore:
         store.put(spec, result)
         assert deterministic_fields(store.get(spec)) == deterministic_fields(result)
 
-    def test_legacy_flat_entries_still_served(self, tmp_path):
-        # Entries written by the pre-sharding layout (directly in the cache
-        # root) must remain readable after the upgrade.
-        sharded = ResultStore(tmp_path)
-        spec = small_spec()
-        result = run_spec(spec)
-        sharded.put(spec, result)
-        key = spec.content_key()
-        sharded_path = tmp_path / ResultStore.shard(key) / f"{key}.json"
-        (tmp_path / f"{key}.json").write_text(
-            sharded_path.read_text(encoding="utf-8"), encoding="utf-8"
-        )
-        sharded_path.unlink()
-        served = ResultStore(tmp_path).get(spec)
-        assert served is not None
-        assert deterministic_fields(served) == deterministic_fields(result)
-
     def test_memory_store(self):
         store = MemoryResultStore()
         spec = small_spec()

@@ -10,9 +10,10 @@ The headline suite for ``run_batch`` dispatch.  Covers:
   execution-count probe), and the result store stays byte-identical to a
   serial run,
 * store byte-identity for batch sizes {1, 4, 16, adaptive} across the
-  serial/auto/async/multihost backends (parametrised + hypothesis grids),
+  serial/auto/async backends, on one local host and on several
+  (parametrised + hypothesis grids),
 * protocol mismatch: a worker whose hello announces another protocol
-  version fails at once, on the connect-back and the stdio transport,
+  version fails its spawn at once,
 * frame compression behaviour around the 512-byte threshold, and
 * the user-facing surfaces: ``make_named_backend(batch=...)``, the CLI
   ``--batch`` flag, ``scripts/dispatch_bench.py`` (which records
@@ -41,7 +42,6 @@ from repro.exp import (
     AsyncWorkerBackend,
     ExperimentFailure,
     ExperimentSpec,
-    MultiHostBackend,
     ResultStore,
     SerialBackend,
     make_named_backend,
@@ -51,6 +51,7 @@ from repro.exp import (
 )
 from repro.exp import protocol
 from repro.exp.distributed import DEFAULT_BATCH_CAP, SpawnError
+from repro.exp.hosts import HostPool, HostState
 from repro.exp.worker import DELAY_ENV, EXEC_LOG_ENV, FAULT_ENV
 
 from exp_helpers import deterministic_fields, store_result_bytes
@@ -103,7 +104,7 @@ def fast_backend(**kwargs):
 
 def subprocess_env(**overrides):
     """Environment for worker/driver subprocesses that can import repro."""
-    from repro.exp.distributed import worker_environment
+    from repro.exp.hosts import worker_environment
 
     return worker_environment(overrides)
 
@@ -186,9 +187,9 @@ class TestMakeNamedBackendBatch:
         backend = make_named_backend("async", workers=2, batch="adaptive:8")
         assert (backend.batch_cap, backend.batch_adaptive) == (8, True)
         backend = make_named_backend(
-            "multihost", hosts="local0:1", batch="adaptive"
+            "async", hosts="local0:1", batch="adaptive"
         )
-        assert isinstance(backend, MultiHostBackend)
+        assert isinstance(backend, AsyncWorkerBackend)
         assert (backend.batch_cap, backend.batch_adaptive) == (
             DEFAULT_BATCH_CAP, True
         )
@@ -209,7 +210,7 @@ class TestMakeNamedBackendBatch:
             with pytest.raises(ValueError):
                 make_named_backend(name, workers=2, batch="bogus")
         with pytest.raises(ValueError):
-            make_named_backend("multihost", hosts="local0:1", batch="bogus")
+            make_named_backend("async", hosts="local0:1", batch="bogus")
 
 
 class TestBatchedDispatchProtocol:
@@ -278,8 +279,8 @@ class TestBatchedEquivalence:
         specs = unique_grid(6)
         run_experiments(specs, backend=SerialBackend(),
                         store=ResultStore(tmp_path / "serial"))
-        backend = MultiHostBackend(
-            "local0:1,local1:1", heartbeat_interval=0.5, batch=batch,
+        backend = AsyncWorkerBackend(
+            hosts="local0:1,local1:1", heartbeat_interval=0.5, batch=batch,
         )
         run_experiments(specs, backend=backend,
                         store=ResultStore(tmp_path / "multihost"))
@@ -446,8 +447,8 @@ class TestPartialBatchFaultInjection:
         specs = unique_grid(6)
         target = specs[0].content_key()
         flag = tmp_path / "died-once"
-        backend = MultiHostBackend(
-            "local0:1,local1:1",
+        backend = AsyncWorkerBackend(
+            hosts="local0:1,local1:1",
             heartbeat_interval=0.5,
             batch=4,
             worker_env={FAULT_ENV: f"{target[:16]}:{flag}"},
@@ -523,17 +524,6 @@ class TestBatchedSigintStreaming:
             assert "result" in payload and "spec" in payload
 
 
-#: Stands in for a protocol-4 stdio worker: it says hello, then reads its
-#: input to EOF without ever answering a job.
-OLD_STDIO_WORKER = """#!{python}
-import json, struct, sys
-hello = json.dumps({{"type": "hello", "pid": 0, "protocol": 4}}).encode()
-sys.stdout.buffer.write(struct.pack(">I", len(hello)) + hello)
-sys.stdout.buffer.flush()
-sys.stdin.buffer.read()
-"""
-
-
 class _OldConnectBackLauncher:
     """Connects back as a launched worker would, but announces protocol 4."""
 
@@ -562,40 +552,22 @@ class _OldConnectBackLauncher:
 class TestProtocolMismatch:
     def test_connect_back_old_version_fails_spawn_at_once(self):
         async def spawn_old_worker():
-            backend = MultiHostBackend("local0:1", connect_timeout=60.0)
-            await backend._startup()
-            host = backend._hosts[0]
-            host.launcher = _OldConnectBackLauncher()
+            backend = AsyncWorkerBackend(hosts="local0:1", connect_timeout=60.0)
+            backend._pool = HostPool()
+            await backend._pool.start()
+            host = HostState(backend.host_specs[0], _OldConnectBackLauncher(), 0)
             started = time.monotonic()
             try:
                 with pytest.raises(SpawnError) as excinfo:
                     await backend._spawn_host_worker(host)
             finally:
-                await backend._teardown()
+                await backend._pool.close()
             return str(excinfo.value), time.monotonic() - started
 
         message, seconds = asyncio.run(spawn_old_worker())
         assert "protocol 4" in message
         assert f"supervisor speaks {protocol.PROTOCOL_VERSION}" in message
         assert seconds < 10.0  # at once, not after the connect timeout
-
-    def test_stdio_old_version_is_killed(self, tmp_path):
-        fake = tmp_path / "old_worker"
-        fake.write_text(OLD_STDIO_WORKER.format(python=sys.executable))
-        fake.chmod(0o755)
-        backend = AsyncWorkerBackend(
-            num_workers=1, heartbeat_interval=30.0, max_retries=0,
-            spawn_retries=0, python=str(fake),
-        )
-        started = time.monotonic()
-        outcomes = backend.run_outcomes([small_spec()])
-        # Killed on its hello: long before the first heartbeat could.
-        assert time.monotonic() - started < 20.0
-        assert isinstance(outcomes[0], ExperimentFailure)
-        assert outcomes[0].error_type == "WorkerDied"
-        assert backend.stats["worker_deaths"] == 1
-        assert backend.stats.get("heartbeat_kills", 0) == 0
-        assert backend.active_pids() == []
 
 
 class TestCompressionThreshold:
@@ -807,8 +779,9 @@ if HAVE_HYPOTHESIS:
                 make_named_backend("serial", batch=batch),
                 make_named_backend("auto", workers=2, batch=batch),
                 fast_backend(batch=batch),
-                MultiHostBackend(
-                    "local0:1,local1:1", heartbeat_interval=0.5, batch=batch,
+                AsyncWorkerBackend(
+                    hosts="local0:1,local1:1", heartbeat_interval=0.5,
+                    batch=batch,
                 ),
             )
             snapshots = []

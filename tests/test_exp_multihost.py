@@ -1,13 +1,13 @@
 """Network-fault injection and equivalence tests for the multi-host transport.
 
-Covers :mod:`repro.exp.hosts` (the :class:`HostPool` listener, launchers and
-:class:`MultiHostBackend`), the compressed frame protocol and the worker's
-connect-back path: byte-exact store equivalence with the serial backend, a
-worker's TCP connection severed mid-spec with requeue convergence, truncated
-and oversized frame handling, transport-decided compression (connect-back
-frames compressed, stdio frames raw), quarantine of a crash-looping host,
-connect retry with backoff, and a randomized-kill soak (``-m soak``, excluded
-from tier-1).
+Covers :mod:`repro.exp.hosts` (the :class:`HostPool` listener and launchers)
+driven by :class:`AsyncWorkerBackend` with explicit ``hosts=``, the
+compressed frame protocol and the worker's connect-back path: byte-exact
+store equivalence with the serial backend, a worker's TCP connection severed
+mid-spec with requeue convergence, truncated and oversized frame handling,
+compressed worker frames, quarantine of a crash-looping host, connect retry
+with backoff, and a randomized-kill soak (``-m soak``, excluded from
+tier-1).
 """
 
 import asyncio
@@ -32,7 +32,6 @@ from repro.exp import (
     AsyncWorkerBackend,
     ExperimentSpec,
     HostSpec,
-    MultiHostBackend,
     ResultStore,
     SerialBackend,
     make_named_backend,
@@ -76,12 +75,12 @@ def small_grid():
 
 def local_backend(hosts="local0:1,local1:1", **kwargs):
     kwargs.setdefault("heartbeat_interval", 0.5)
-    return MultiHostBackend(hosts, **kwargs)
+    return AsyncWorkerBackend(hosts=hosts, **kwargs)
 
 
 def subprocess_env(**overrides):
     """Environment for worker subprocesses that can import repro."""
-    from repro.exp.distributed import worker_environment
+    from repro.exp.hosts import worker_environment
 
     return worker_environment(overrides)
 
@@ -186,20 +185,20 @@ class TestHostParsing:
         assert parse_listen("0.0.0.0:9000") == ("0.0.0.0", 9000)
 
     def test_make_named_backend_multihost(self):
-        backend = make_named_backend("multihost", hosts="local0:1,local1:2")
-        assert isinstance(backend, MultiHostBackend)
+        backend = make_named_backend("async", hosts="local0:1,local1:2")
+        assert isinstance(backend, AsyncWorkerBackend)
         assert backend.num_workers == 3
-        # --hosts implies multihost under the default backend name.
+        # --hosts implies the async backend under the default backend name.
         assert isinstance(
-            make_named_backend("auto", hosts="local0:1"), MultiHostBackend
+            make_named_backend("auto", hosts="local0:1"), AsyncWorkerBackend
         )
         with pytest.raises(ValueError):
-            make_named_backend("multihost")
-        # A host list with an explicitly single-host backend is a conflict,
-        # not something to ignore silently (REPRO_BENCH_BACKEND=async +
-        # REPRO_BENCH_HOSTS=... must not quietly run single-host).
+            make_named_backend("multihost")  # not a backend name
+        # A host list with the in-process backend is a conflict, not
+        # something to ignore silently (REPRO_BENCH_BACKEND=serial +
+        # REPRO_BENCH_HOSTS=... must not quietly run in-process).
         with pytest.raises(ValueError):
-            make_named_backend("async", hosts="local0:1")
+            make_named_backend("serial", hosts="local0:1")
         with pytest.raises(ValueError):
             make_named_backend("serial", listen="9000")
 
@@ -307,10 +306,9 @@ class TestHostPool:
 
 
 class TestWorkerNegotiation:
-    """The transport decides compression: TCP frames may shrink, pipes never.
+    """Worker frames are compressed when that pays; nothing is negotiated.
 
-    There is no hello_ack any more: a `--connect` worker compresses large
-    results unasked, and a stdio worker (which no supervisor acks) never does.
+    There is no hello_ack any more: a worker compresses large results unasked.
     """
 
     @staticmethod
@@ -365,22 +363,6 @@ class TestWorkerNegotiation:
                 if worker.poll() is None:
                     worker.kill()
                     worker.wait()
-
-    def test_no_ack_means_uncompressed(self):
-        # A supervisor that never acks (the stdio path) gets raw frames.
-        spec = self.large_spec()
-        worker = subprocess.Popen(
-            [sys.executable, "-m", "repro.exp.worker"],
-            stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=subprocess_env(),
-        )
-        try:
-            with worker.stdin, worker.stdout:
-                assert self.exchange(worker.stdout, worker.stdin, spec) is False
-            assert worker.wait(timeout=30) == 0
-        finally:
-            if worker.poll() is None:
-                worker.kill()
-                worker.wait()
 
 
 class TestConnectRetry:
@@ -456,11 +438,12 @@ class TestMultiHostEquivalence:
         backend = local_backend("local0:1,local1:1")
         backend.run(small_grid())
         completed = {name: stats["completed"]
-                     for name, stats in backend.host_stats.items()}
+                     for name, stats in backend.host_snapshot().items()}
         assert sum(completed.values()) == len({
             spec.content_key() for spec in small_grid()
         })
-        assert all(stats["spawns"] >= 1 for stats in backend.host_stats.values())
+        assert all(stats["spawns"] >= 1
+                   for stats in backend.host_snapshot().values())
 
     def test_no_workers_or_handles_outlive_the_run(self):
         backend = local_backend()
@@ -488,7 +471,7 @@ class TestCliMultiHost:
 
         code = main([
             "compare", "swaptions", "--scale", "0.004", "--threads", "2",
-            "--backend", "async", "--hosts", "local0:1",
+            "--backend", "serial", "--hosts", "local0:1",
         ])
         assert code == 2
         assert "--hosts requires" in capsys.readouterr().err
@@ -535,8 +518,8 @@ class TestNetworkFaults:
                        env={FAULT_ENV: f":{flag}:always"})
         good = HostSpec("local-good", workers=1)
         specs = small_grid()
-        backend = MultiHostBackend(
-            [bad, good],
+        backend = AsyncWorkerBackend(
+            hosts=[bad, good],
             heartbeat_interval=0.5,
             max_retries=100,
             host_quarantine_retries=1,
@@ -548,10 +531,10 @@ class TestNetworkFaults:
         for left, right in zip(reference, results):
             assert deterministic_fields(left) == deterministic_fields(right)
         assert backend.stats.get("hosts_quarantined", 0) == 1
-        assert backend.host_stats["local-bad"]["quarantined"] is True
-        assert backend.host_stats["local-bad"]["completed"] == 0
-        assert backend.host_stats["local-good"]["quarantined"] is False
-        assert backend.host_stats["local-good"]["completed"] == len({
+        assert backend.host_snapshot()["local-bad"]["quarantined"] is True
+        assert backend.host_snapshot()["local-bad"]["completed"] == 0
+        assert backend.host_snapshot()["local-good"]["quarantined"] is False
+        assert backend.host_snapshot()["local-good"]["completed"] == len({
             spec.content_key() for spec in specs
         })
 
@@ -564,8 +547,8 @@ class TestNetworkFaults:
             HostSpec("local-b", workers=1,
                      env={FAULT_ENV: f":{flag_b}:always"}),
         ]
-        backend = MultiHostBackend(
-            hosts,
+        backend = AsyncWorkerBackend(
+            hosts=hosts,
             heartbeat_interval=0.5,
             max_retries=1000,
             host_quarantine_retries=0,
@@ -643,8 +626,8 @@ class TestSoak:
         rng = random.Random(1234)
         specs = self._soak_specs()
         store_dir = tmp_path / "multihost"
-        backend = MultiHostBackend(
-            "local0:2,local1:2",
+        backend = AsyncWorkerBackend(
+            hosts="local0:2,local1:2",
             heartbeat_interval=0.5,
             max_retries=10_000,
             spawn_retries=10_000,

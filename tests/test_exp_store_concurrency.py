@@ -283,22 +283,6 @@ class TestPutIfAbsentEdgeCases:
         assert store.put_if_absent(spec, result) is True
         assert store.get(spec) is not None
 
-    def test_legacy_flat_entry_counts_as_present(self, tmp_path):
-        # An entry written by the pre-sharding layout must suppress a second
-        # sharded copy of the same key.
-        store = ResultStore(tmp_path)
-        spec = small_spec()
-        result = run_spec(spec)
-        store.put(spec, result)
-        key = spec.content_key()
-        sharded = tmp_path / ResultStore.shard(key) / f"{key}.json"
-        (tmp_path / f"{key}.json").write_text(
-            sharded.read_text(encoding="utf-8"), encoding="utf-8"
-        )
-        sharded.unlink()
-        assert store.put_if_absent(spec, result) is False
-        assert len(store) == 1
-
 
 class TestShardedLayout:
     def test_entries_land_in_key_prefix_shards(self, tmp_path):

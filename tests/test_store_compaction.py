@@ -12,8 +12,8 @@ policy into something a daemon can sit on top of:
   torn entry: every key is either a complete valid entry or absent,
 * LRU recency is real — a `get` refreshes an entry so compaction evicts
   the cold one,
-* the object-store layout round-trips byte-identically to the directory
-  layout, without ever taking advisory locks,
+* an explicit ``compact(max_bytes=0)`` drops every result entry but keeps
+  the failure markers,
 * `MemoryResultStore` honours ``max_entries`` with the same pin rules.
 """
 
@@ -27,14 +27,11 @@ import pytest
 
 from repro.core.config import lazy_config
 from repro.exp import (
-    DirectoryLayout,
     ExperimentFailure,
     ExperimentResult,
     ExperimentSpec,
     MemoryResultStore,
-    ObjectStoreLayout,
     ResultStore,
-    make_layout,
 )
 from repro.exp.store import _normalised_payload
 
@@ -262,33 +259,10 @@ class TestLRUBehaviour:
 # Layouts
 # ======================================================================
 class TestLayouts:
-    def test_object_layout_round_trip_without_locks(self, tmp_path):
-        store = ResultStore(tmp_path, layout="object")
-        spec, result = SPECS[0], RESULTS[0]
-        assert store.put_if_absent(spec, result)
-        assert not store.put_if_absent(spec, result)
-        got = store.get(spec)
-        assert got is not None
-        assert got.total_cycles == result.total_cycles
-        key = spec.content_key()
-        assert (
-            tmp_path / "objects" / key[:2] / key[2:4] / f"{key}.json"
-        ).is_file()
-        assert not (tmp_path / ".locks").exists()  # lock-free layout
-        assert store.stats()["layout"] == "object"
-        assert len(store) == 1
-
-    def test_layouts_write_identical_bytes(self, tmp_path):
-        directory = ResultStore(tmp_path / "dir", layout="directory")
-        objectstore = ResultStore(tmp_path / "obj", layout=ObjectStoreLayout())
-        spec, result = SPECS[2], RESULTS[2]
-        directory.put(spec, result)
-        objectstore.put(spec, result)
-        read = lambda store: next(iter(entry_paths(store))).read_bytes()
-        assert read(directory) == read(objectstore)
-
     def test_object_layout_compaction_and_failures(self, tmp_path):
-        store = ResultStore(tmp_path, layout="object")
+        # An explicit zero budget compacts every result entry away and
+        # leaves the failure marker in place.
+        store = ResultStore(tmp_path)
         spec = SPECS[3]
         store.record_failure(
             spec, ExperimentFailure.from_exception(spec.content_key(), RuntimeError("x"))
@@ -297,17 +271,6 @@ class TestLayouts:
         store.compact(max_bytes=0)
         assert len(store) == 0  # budget 0: the put was compacted away
         assert store.get_failure(spec) is not None
-
-    def test_make_layout(self):
-        assert isinstance(make_layout(None), DirectoryLayout)
-        assert isinstance(make_layout("directory"), DirectoryLayout)
-        assert isinstance(make_layout("object"), ObjectStoreLayout)
-        custom = ObjectStoreLayout()
-        assert make_layout(custom) is custom
-        with pytest.raises(ValueError, match="unknown store layout"):
-            make_layout("cloud")
-        with pytest.raises(ValueError, match="unknown store layout"):
-            ResultStore("ignored", layout="cloud")
 
 
 # ======================================================================
